@@ -29,13 +29,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from time import perf_counter
 
 from . import analysis, curves as cv
 from .duplication import DuplicatePlan, extend_profile
 from .errors import ConcavityViolation, ParseError
 from .exante import solve_exante
 from .mechanisms import NO_CONSTRAINT
-from .simulate import estimate_revenue, mechanism_names
+from .simulate import _default_estimator, _summarize, mechanism_names, sample_revenues
 
 BOUND_FUNCS = {
     "single": lambda c: analysis.bound_single(c["alpha"], c["beta"]),
@@ -198,27 +199,29 @@ def run_experiment(config: ExperimentConfig, workers: int = 0):
     """Estimate revenue, evaluate configured bound checks, build the report.
 
     Returns (report dict, exit_code): 0 when every check passes, 1 otherwise.
-    A check passes when estimate >= ratio * exante_opt - 4 * stderr.
+    A check passes when estimate >= ratio * exante_opt - 4 * stderr.  The
+    report's "timings" (seconds per stage) and "samples_per_s" are the only
+    fields that are not reproducible from the config and seed.
     """
     k = int(config.constants.get("k", 1))
     base = config.profile
+    t0 = perf_counter()
     exante = solve_exante(base, k=k)
+    t1 = perf_counter()
     profile, constraint = base, NO_CONSTRAINT
     if config.plan is not None:
         profile, constraint = extend_profile(base, config.plan)
     params = dict(config.mechanism_params)
     if config.mechanism in ("vcg", "vcg_constrained"):
         params.setdefault("k", k)
-    est = estimate_revenue(
-        profile,
-        constraint,
-        config.mechanism,
-        config.n_samples,
-        config.seed,
-        config.estimator,
-        workers,
-        **params,
+    # estimate_revenue's two stages, run here so each can be timed
+    t2 = perf_counter()
+    rev = sample_revenues(
+        profile, constraint, config.mechanism, config.n_samples, config.seed, workers, **params
     )
+    t3 = perf_counter()
+    est = _summarize(rev, config.seed, config.estimator or _default_estimator(profile))
+    t4 = perf_counter()
     check_rows = []
     all_pass = True
     for name in config.checks:
@@ -243,6 +246,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 0):
             "blocks": est.blocks,
         },
         "checks": check_rows,
+        "timings": {"exante_s": t1 - t0, "sampling_s": t3 - t2, "summary_s": t4 - t3},
+        "samples_per_s": config.n_samples / (t3 - t2),
     }
     return report, (0 if all_pass else 1)
 

@@ -32,12 +32,14 @@ from .mechanisms import NO_CONSTRAINT, PairConstraint
 PLAIN = "plain"
 MEDIAN_OF_MEANS = "median_of_means"
 
-_U64 = np.uint64
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
-_M1 = _U64(0xBF58476D1CE4E5B9)
-_M2 = _U64(0x94D049BB133111EB)
-_SEED_MIX = _U64(0xD1342543DE82EF95)
-_BIDDER_MIX = _U64(0x9E6C63D0876A9A63)
+# SplitMix64 constants (Steele, Lea and Flood, OOPSLA 2014), as Python ints:
+# scalar arithmetic on them is exact and masked to 64 bits by hand, and
+# numpy reads them as uint64 against uint64 arrays, which wrap silently.
+_GOLDEN = 0x9E3779B97F4A7C15
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
+_SEED_MIX = 0xD1342543DE82EF95
+_BIDDER_MIX = 0x9E6C63D0876A9A63
 _MASK = (1 << 64) - 1
 
 _CHUNK = 1 << 16
@@ -53,23 +55,53 @@ class Estimate:
     blocks: int = 0
 
 
-def _sm64(z):
-    z = (z ^ (z >> _U64(30))) * _M1
-    z = (z ^ (z >> _U64(27))) * _M2
-    return z ^ (z >> _U64(31))
+def _sm64_scalar(z: int) -> int:
+    """SplitMix64's output mix of one 64-bit integer."""
+    z = ((z ^ (z >> 30)) * _M1) & _MASK
+    z = ((z ^ (z >> 27)) * _M2) & _MASK
+    return z ^ (z >> 31)
 
 
-def uniforms(seed: int, bidder: int, lo: int, hi: int) -> np.ndarray:
-    """U[0,1) draws for one bidder substream over sample counters [lo, hi)."""
-    with np.errstate(over="ignore"):
-        stream = _sm64(_U64(seed & _MASK) * _SEED_MIX ^ _U64(bidder + 1) * _BIDDER_MIX)
-        counters = np.arange(lo, hi, dtype=np.uint64)
-        z = _sm64(stream + _GOLDEN * counters)
-    return (z >> _U64(11)).astype(np.float64) * (2.0**-53)
+def _sm64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """_sm64_scalar in place on the uint64 array z, which wraps mod 2^64; t is scratch."""
+    for shift, mult in ((30, _M1), (27, _M2), (31, None)):
+        np.right_shift(z, shift, out=t)
+        np.bitwise_xor(z, t, out=z)
+        if mult is not None:
+            np.multiply(z, mult, out=z)
+    return z
+
+
+def uniforms(seed: int, bidder: int, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+    """U[0,1) draws for one bidder substream over sample counters [lo, hi).
+
+    Draw t is (SplitMix64(stream + GOLDEN * t) >> 11) * 2^-53, where stream
+    is SplitMix64 of the seed and bidder.  The mix runs in place in the
+    float64 result's memory, viewed as uint64, with one uint64 scratch
+    buffer; ``out``, a contiguous float64 array of length hi - lo, receives
+    the draws when given.
+    """
+    if out is None:
+        out = np.empty(hi - lo)
+    stream = _sm64_scalar(((seed & _MASK) * _SEED_MIX ^ (bidder + 1) * _BIDDER_MIX) & _MASK)
+    z = out.view(np.uint64)
+    # stream + GOLDEN*(lo + i) mod 2^64, split as a scalar base plus GOLDEN*i
+    np.multiply(np.arange(hi - lo, dtype=np.uint64), _GOLDEN, out=z)
+    np.add(z, (stream + _GOLDEN * lo) & _MASK, out=z)
+    _sm64(z, np.empty_like(z))
+    np.right_shift(z, 11, out=z)
+    # z < 2^53 converts to float64 exactly, and the scaling is a power of two
+    np.copyto(out, z)
+    return np.multiply(out, 2.0**-53, out=out)
 
 
 class _Sampler:
-    """Per-curve vectorized tables: values from quantiles, slopes at quantiles."""
+    """Per-curve vectorized tables: values and slopes at quantiles.
+
+    Quantiles q passed in are already floored at EPS_MIN.  A bounded curve's
+    segment index is the count of interior breakpoints at or below q, the
+    same index ``searchsorted(qs, q, "right") - 1`` clipped to the segments.
+    """
 
     def __init__(self, curve: cv.RevenueCurve):
         self.curve = curve
@@ -79,21 +111,60 @@ class _Sampler:
             self.qs = np.array([q for q, _ in curve.breakpoints])
             self.rs = np.array([r for _, r in curve.breakpoints])
             self.slopes = np.diff(self.rs) / np.diff(self.qs)
+            self.cuts = self.qs[1:-1].tolist()
+            # a chunk keeps every bidder's segment index alive, so it takes
+            # the narrowest integer type (uint8 for up to 255 interior cuts)
+            self.seg_dtype = np.min_scalar_type(len(self.cuts))
 
-    def values(self, u: np.ndarray) -> np.ndarray:
-        q = np.maximum(u, cv.EPS_MIN)
-        if self.unbounded:
-            return self.scale * (1.0 - q) / q
-        j = np.clip(np.searchsorted(self.qs, q, side="right") - 1, 0, len(self.slopes) - 1)
-        return (self.rs[j] + self.slopes[j] * (q - self.qs[j])) / q
+    def segments(self, q: np.ndarray) -> np.ndarray | None:
+        """Segment index of each quantile, or None when there is one segment."""
+        if self.unbounded or not self.cuts:
+            return None
+        j = np.empty(q.shape, dtype=self.seg_dtype)
+        np.greater_equal(q, self.cuts[0], out=j)
+        for cut in self.cuts[1:]:
+            j += q >= cut
+        return j
 
-    def phi(self, u: np.ndarray) -> np.ndarray:
-        """Revenue-curve slope at quantile max(u, EPS_MIN): the virtual value."""
+    def values(self, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self.values_at(q, self.segments(q), out)
+
+    def values_at(self, q: np.ndarray, seg, out: np.ndarray | None = None) -> np.ndarray:
+        """(rs[j] + slopes[j]*(q - qs[j])) / q for j = seg, or scale*(1-q)/q.
+
+        The expression keeps this order: Rev(q)/q is not folded into a
+        per-segment value, which would change the last bit.
+        """
+        if out is None:
+            out = np.empty_like(q)
         if self.unbounded:
-            return np.full(u.shape, -self.scale)
-        q = np.maximum(u, cv.EPS_MIN)
-        j = np.clip(np.searchsorted(self.qs, q, side="right") - 1, 0, len(self.slopes) - 1)
-        return self.slopes[j]
+            np.subtract(1.0, q, out=out)
+            np.multiply(self.scale, out, out=out)
+            return np.divide(out, q, out=out)
+        if seg is None:
+            np.subtract(q, self.qs[0], out=out)
+            np.multiply(self.slopes[0], out, out=out)
+            np.add(self.rs[0], out, out=out)
+        else:
+            # seg is in range; mode="clip" only skips take's buffered bounds check
+            gathered = np.empty_like(q)
+            np.take(self.qs, seg, out=out, mode="clip")
+            np.subtract(q, out, out=out)
+            np.take(self.slopes, seg, out=gathered, mode="clip")
+            np.multiply(gathered, out, out=out)
+            np.take(self.rs, seg, out=gathered, mode="clip")
+            np.add(gathered, out, out=out)
+        return np.divide(out, q, out=out)
+
+    def phi(self, seg, out: np.ndarray) -> np.ndarray:
+        """Revenue-curve slope (the virtual value) at the quantiles of seg = segments(q)."""
+        if self.unbounded:
+            out.fill(-self.scale)
+        elif seg is None:
+            out.fill(self.slopes[0])
+        else:
+            np.take(self.slopes, seg, out=out, mode="clip")
+        return out
 
     def win_region_edge(self, strict: np.ndarray, weak: np.ndarray) -> np.ndarray:
         """Largest quantile whose slope is >= 0, > strict, and >= weak.
@@ -110,32 +181,87 @@ class _Sampler:
         return self.qs[j]
 
 
-def _second_highest(v: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class _Chunk:
+    """One chunk of draws: sample counters [lo, hi) of every bidder."""
+
+    v: np.ndarray  # (n, hi - lo) values at the quantiles q = max(u, EPS_MIN)
+    seg: list  # per bidder i: segments(q[i]), shared by values and virtual values
+    seed: int
+    lo: int
+    hi: int
+
+
+def _top(rows, r: int) -> list:
+    """[largest, ..., r-th largest] of each column, over r <= len(rows) rows.
+
+    A running top-r list updated row by row with compare-exchanges
+    (np.maximum/np.minimum into reused buffers).  It only moves elements, so
+    entry j is bit for bit ``np.partition(v, n-1-j, axis=0)[n-1-j]``.
+    """
+    top = []  # top[j]: the (j+1)-th largest of the rows so far
+    spare = []  # buffers free for reuse
+    for x in rows:
+        carried = False  # x is a value pushed down from a slot, held in our buffer
+        for j, t in enumerate(top):
+            if j == r - 1:  # the last slot keeps the larger and drops the rest
+                np.maximum(t, x, out=t)
+                break
+            hi = spare.pop() if spare else np.empty_like(t)
+            np.maximum(t, x, out=hi)
+            lo = x if carried else (spare.pop() if spare else np.empty_like(t))
+            np.minimum(t, x, out=lo)
+            top[j] = hi
+            spare.append(t)
+            x, carried = lo, True
+        else:  # fewer than r slots so far: the pushed-down value opens one
+            top.append(x if carried else x.copy())
+            continue
+        if carried:
+            spare.append(x)
+    return top
+
+
+def _top_two(v: np.ndarray):
+    """(highest, second highest) of each column; a lone row's second is 0."""
     if v.shape[0] < 2:
-        return np.zeros(v.shape[1])
-    return np.partition(v, v.shape[0] - 2, axis=0)[-2]
+        return v[0], np.zeros(v.shape[1])
+    return _top(v, 2)
 
 
-def _rev_spa(samplers, constraint, u, params):
-    v = np.stack([s.values(u[i]) for i, s in enumerate(samplers)])
-    return _second_highest(v)
+def _first_argmax(v: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """np.argmax(v, axis=0) given best = v.max(axis=0): the first row reaching best.
+
+    That row's index is the number of rows whose running maximum is still
+    below best, which counts without a data-dependent branch.
+    """
+    idx = np.zeros(best.shape, dtype=np.intp)
+    running = v[0].copy()
+    below = np.empty(best.shape, dtype=bool)
+    for i in range(1, v.shape[0]):
+        np.less(running, best, out=below)
+        idx += below
+        np.maximum(running, v[i], out=running)
+    return idx
 
 
-def _rev_vcg_k(samplers, constraint, u, params):
+def _rev_spa(samplers, constraint, ch, params):
+    return _top_two(ch.v)[1]
+
+
+def _rev_vcg_k(samplers, constraint, ch, params):
     k = params["k"]
-    v = np.stack([s.values(u[i]) for i, s in enumerate(samplers)])
-    n = v.shape[0]
+    n, m = ch.v.shape
     if n <= k:
-        return np.zeros(v.shape[1])
-    price = np.partition(v, n - k - 1, axis=0)[n - k - 1]
-    return k * price
+        return np.zeros(m)
+    return k * _top(ch.v, k + 1)[k]
 
 
-def _rev_vcg_constrained(samplers, constraint, u, params):
+def _rev_vcg_constrained(samplers, constraint, ch, params):
     k = params["k"]
+    v = ch.v
     n = len(samplers)
     partner = constraint.partner(n)
-    v = np.stack([s.values(u[i]) for i, s in enumerate(samplers)])
     # Pool one entry per pair (its max; the min is the within-pair rival)
     # and one per unpaired bidder (rival 0).  Top-k pool entries win and
     # each pays the larger of the (k+1)-st pool value and its rival.
@@ -154,75 +280,101 @@ def _rev_vcg_constrained(samplers, constraint, u, params):
     m = pool.shape[0]
     if m <= k:
         return rival.sum(axis=0)
-    thr = np.partition(pool, m - k - 1, axis=0)[m - k - 1]
+    thr = _top(pool, k + 1)[k]
     order = np.argsort(-pool, axis=0, kind="stable")[:k]
     win_rival = np.take_along_axis(rival, order, axis=0)
     return np.maximum(win_rival, thr[None, :]).sum(axis=0)
 
 
-def _rev_myerson(samplers, constraint, u, params):
-    n = len(samplers)
-    m = u.shape[1]
-    phi = np.stack([s.phi(u[i]) for i, s in enumerate(samplers)])
-    win = np.argmax(phi, axis=0)
-    cols = np.arange(m)
-    win_phi = phi[win, cols]
-    sold = win_phi >= 0.0
-    rows = np.arange(n)[:, None]
-    strict = np.where(rows < win[None, :], phi, -np.inf).max(axis=0)
-    weak = np.where(rows > win[None, :], phi, -np.inf).max(axis=0)
-    v_win = np.stack([s.values(u[i]) for i, s in enumerate(samplers)])[win, cols]
+def _rev_myerson(samplers, constraint, ch, params):
+    n, m = ch.v.shape
+    phi = np.empty(m)
+    best = samplers[0].phi(ch.seg[0], np.empty(m))
+    for i in range(1, n):
+        np.maximum(best, samplers[i].phi(ch.seg[i], phi), out=best)
+    # The winner is the first bidder whose virtual value equals `best`: the
+    # running maximum through bidder i is below `best` exactly when i comes
+    # before the winner, and already equals it exactly when i comes after.
+    # copysign(inf, running - best) is -inf before the winner and +inf from
+    # it on, so min(phi, +-inf) picks out either side with no masked copy.
+    win = np.zeros(m, dtype=np.intp)
+    strict = np.full(m, -np.inf)  # largest virtual value before the winner
+    weak = np.full(m, -np.inf)  # largest virtual value after the winner
+    running = np.full(m, -np.inf)
+    gap = np.empty(m)
+    side = np.empty(m)
+    before = np.empty(m, dtype=bool)
+    for i, s in enumerate(samplers):
+        s.phi(ch.seg[i], phi)
+        if i > 0:
+            np.copysign(np.inf, gap, out=side)
+            np.minimum(phi, side, out=side)
+            np.maximum(weak, side, out=weak)
+        np.maximum(running, phi, out=running)
+        np.subtract(running, best, out=gap)
+        np.less(gap, 0.0, out=before)
+        win += before
+        np.copysign(np.inf, gap, out=side)
+        np.negative(side, out=side)
+        np.minimum(phi, side, out=side)
+        np.maximum(strict, side, out=strict)
+    sold = best >= 0.0
     out = np.zeros(m)
     for i, s in enumerate(samplers):
-        sel = sold & (win == i)
-        if not sel.any() or s.unbounded:
+        if s.unbounded:
             continue
-        q_pay = s.win_region_edge(strict[sel], weak[sel])
-        out[sel] = np.minimum(s.values(q_pay), v_win[sel])
+        cols = np.flatnonzero(sold & (win == i))
+        if cols.size:
+            q_pay = np.maximum(s.win_region_edge(strict[cols], weak[cols]), cv.EPS_MIN)
+            out[cols] = np.minimum(s.values(q_pay), ch.v[i, cols])
     return out
 
 
-def _rev_lookahead(samplers, constraint, u, params):
-    v = np.stack([s.values(u[i]) for i, s in enumerate(samplers)])
+def _rev_lookahead(samplers, constraint, ch, params):
+    v = ch.v
     reserves = np.array([cv.monopoly_reserve(s.curve) for s in samplers])
-    top = np.argmax(v, axis=0)
-    cols = np.arange(v.shape[1])
-    top_val = v[top, cols]
-    second = _second_highest(v)
-    price = np.maximum(second, reserves[top])
+    top_val, second = _top_two(v)
+    price = np.maximum(second, reserves.take(_first_argmax(v, top_val), mode="clip"))
     # an atom draw equals its own reserve only up to float rounding, so the
     # acceptance test is tolerant and the payment capped, as in the scalar
     sold = top_val >= price * (1.0 - 1e-12)
     return np.where(sold, np.minimum(price, top_val), 0.0)
 
 
-def _rev_spald(samplers, constraint, u, params):
-    seed = params["seed"]
-    lo, hi = params["range"]
-    n = len(samplers)
-    v = np.stack([s.values(u[i]) for i, s in enumerate(samplers)])
-    top = np.argmax(v, axis=0)
-    cols = np.arange(v.shape[1])
-    top_val = v[top, cols]
-    second = _second_highest(v)
+def _rev_spald(samplers, constraint, ch, params):
+    v = ch.v
+    n, m = v.shape
+    top_val, second = _top_two(v)
     # The duplicate of bidder j draws substream n+j: the same uniform its
     # clone would get under an every-bidder-once extension, which couples
     # this mechanism under the duplicate SPA pathwise.
-    dup = np.stack([s.values(uniforms(seed, n + j, lo, hi)) for j, s in enumerate(samplers)])
-    dup_val = dup[top, cols]
+    dup = np.empty((n, m))
+    q = np.empty(m)
+    for j, s in enumerate(samplers):
+        uniforms(ch.seed, n + j, ch.lo, ch.hi, out=q)
+        np.maximum(q, cv.EPS_MIN, out=q)
+        s.values(q, out=dup[j])
+    # flat index of (top bidder's row, column) in the contiguous dup block
+    dup_val = np.take(dup, _first_argmax(v, top_val) * m + np.arange(m))
     return np.minimum(np.maximum(second, dup_val), top_val)
 
 
-def _rev_posted(samplers, constraint, u, params):
+def _rev_posted(samplers, constraint, ch, params):
     prices = np.asarray(params["prices"], dtype=np.float64)
     if len(prices) != len(samplers):
         raise ProfileMismatch(f"{len(prices)} prices for {len(samplers)} bidders")
-    v = np.stack([s.values(u[i]) for i, s in enumerate(samplers)])
-    meets = v >= prices[:, None]
-    first = np.argmax(meets, axis=0)
-    cols = np.arange(v.shape[1])
-    sold = meets[first, cols]
-    return np.where(sold, prices[first], 0.0)
+    # Bidders are offered their prices in index order and the first whose
+    # value meets it buys; that bidder's index is n minus the number of
+    # offers made once some bidder has met a price, and n means no sale.
+    n, m = ch.v.shape
+    meets = np.empty(m, dtype=bool)
+    met = np.zeros(m, dtype=bool)
+    offers_after = np.zeros(m, dtype=np.intp)
+    for i in range(n):
+        np.greater_equal(ch.v[i], prices[i], out=meets)
+        met |= meets
+        offers_after += met
+    return np.append(prices, 0.0).take(n - offers_after)
 
 
 _MECHANISMS = {
@@ -254,29 +406,44 @@ def sample_revenues(
         raise DomainError(f"unknown mechanism {mechanism!r}; use one of {mechanism_names()}")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
+    if mechanism in ("vcg", "vcg_constrained"):
+        k = params.get("k")
+        if not isinstance(k, (int, np.integer)) or k < 1:
+            raise DomainError(f"{mechanism} needs an integer k >= 1, got {k!r}")
     if constraint is None:
         constraint = NO_CONSTRAINT
     kernel = _MECHANISMS[mechanism]
     samplers = [_Sampler(c) for c in profile.curves]
     out = np.empty(n_samples)
 
-    def fill(lo: int, hi: int) -> None:
-        u = np.stack([uniforms(seed, i, lo, hi) for i in range(profile.n)])
-        p = dict(params, seed=seed, range=(lo, hi))
-        out[lo:hi] = kernel(samplers, constraint, u, p)
+    def fill(spans) -> None:
+        # one quantile row and one (n, chunk) block of values per caller,
+        # rewritten chunk by chunk
+        width = min(_CHUNK, n_samples)
+        q = np.empty(width)
+        v = np.empty((profile.n, width))
+        for lo, hi in spans:
+            m = hi - lo
+            seg = []
+            for i, s in enumerate(samplers):
+                qi = uniforms(seed, i, lo, hi, out=q[:m])
+                np.maximum(qi, cv.EPS_MIN, out=qi)
+                seg.append(s.segments(qi))
+                s.values_at(qi, seg[i], v[i, :m])
+            out[lo:hi] = kernel(samplers, constraint, _Chunk(v[:, :m], seg, seed, lo, hi), params)
 
     spans = [(lo, min(lo + _CHUNK, n_samples)) for lo in range(0, n_samples, _CHUNK)]
     if workers and workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda ab: fill(*ab), spans))
+            list(pool.map(fill, [spans[w::workers] for w in range(workers)]))
     else:
-        for lo, hi in spans:
-            fill(lo, hi)
+        fill(spans)
     return out
 
 
-def _default_estimator(profile: cv.BidderProfile) -> str:
-    return MEDIAN_OF_MEANS if cv.has_unbounded(profile) else PLAIN
+def _default_estimator(*profiles: cv.BidderProfile) -> str:
+    """Median-of-means when any profile has an unbounded curve, else plain."""
+    return MEDIAN_OF_MEANS if any(cv.has_unbounded(p) for p in profiles) else PLAIN
 
 
 def _summarize(rev: np.ndarray, seed: int, estimator: str) -> Estimate:
@@ -336,12 +503,8 @@ def paired_compare(
         raise ProfileMismatch("profiles must share a common original prefix")
     rev_a = sample_revenues(profile_a, constraint_a, mechanism, n_samples, seed, workers, **params)
     rev_b = sample_revenues(profile_b, constraint_b, mechanism, n_samples, seed, workers, **params)
-    est = estimator or (
-        MEDIAN_OF_MEANS
-        if cv.has_unbounded(profile_a) or cv.has_unbounded(profile_b)
-        else PLAIN
-    )
-    return _summarize(rev_a - rev_b, seed, est)
+    est = estimator or _default_estimator(profile_a, profile_b)
+    return _summarize(np.subtract(rev_a, rev_b, out=rev_a), seed, est)
 
 
 def _tail_prob(profile: cv.BidderProfile, r: int, t: float) -> float:

@@ -7,6 +7,8 @@ import pytest
 from dupkit import config as cfg
 from dupkit.cli import main
 from dupkit.errors import ConcavityViolation, HypothesisViolated, ParseError
+from dupkit.mechanisms import NO_CONSTRAINT
+from dupkit.simulate import estimate_revenue
 
 BASE = {
     "profile": {
@@ -93,6 +95,25 @@ def test_report_csv_is_flat():
     lines = text.strip().split("\n")
     assert lines[0] == "key,value"
     assert any(line.startswith("estimate.mean,") for line in lines)
+    for key in ("timings.exante_s", "timings.sampling_s", "timings.summary_s", "samples_per_s"):
+        assert any(line.startswith(key + ",") for line in lines)
+
+
+def test_report_timings_match_estimate():
+    conf = cfg.parse_config(json.dumps(BASE))
+    report, _ = cfg.run_experiment(conf)
+    est = estimate_revenue(conf.profile, NO_CONSTRAINT, "spa", 2000, 3)
+    assert report["estimate"] == {
+        "mean": est.mean,
+        "stderr": est.stderr,
+        "n_samples": est.n_samples,
+        "estimator": est.estimator,
+        "blocks": est.blocks,
+    }
+    timings = report["timings"]
+    assert sorted(timings) == ["exante_s", "sampling_s", "summary_s"]
+    assert all(t >= 0.0 for t in timings.values())
+    assert report["samples_per_s"] == pytest.approx(2000 / timings["sampling_s"])
 
 
 def test_cli_exante(tmp_path, capsys):
@@ -120,6 +141,9 @@ def test_cli_simulate_seed_override_changes_estimate(tmp_path, capsys):
     again = json.loads(capsys.readouterr().out)
     main(["simulate", "--config", path, "--seed", "2"])
     other = json.loads(capsys.readouterr().out)
+    # stage timings are wall-clock telemetry; everything else must repeat
+    for report in (first, again):
+        del report["timings"], report["samples_per_s"]
     assert first == again
     assert first["estimate"]["mean"] != other["estimate"]["mean"]
 
@@ -182,6 +206,21 @@ def test_cli_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["no-such-command"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mechanism", ["vcg", "vcg_constrained"])
+@pytest.mark.parametrize("k", [0, -1])
+def test_cli_simulate_bad_k_is_usage_error(tmp_path, mechanism, k):
+    raw = {**BASE, "mechanism": mechanism, "mechanism_params": {"k": k}}
+    path = write_config(tmp_path, raw)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dupkit.cli", "simulate", "--config", path],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "DomainError"
 
 
 def test_cli_csv_format(tmp_path, capsys):

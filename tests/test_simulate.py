@@ -1,8 +1,10 @@
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dupkit import curves as cv
 from dupkit.errors import DomainError, ProfileMismatch, UnboundedExpectation
@@ -20,6 +22,8 @@ from dupkit.mechanisms import (
 )
 from dupkit.simulate import (
     Estimate,
+    _first_argmax,
+    _top,
     estimate_revenue,
     expected_order_stat,
     mechanism_names,
@@ -96,6 +100,94 @@ def test_kernels_match_scalar_mechanisms(mechanism):
         fast = sample_revenues(prof, constraint, mechanism, 257, seed=trial, **params)
         slow = _scalar_revenues(prof, constraint, mechanism, 257, seed=trial, **params)
         np.testing.assert_allclose(fast, slow, atol=1e-9)
+
+
+# sha256 of sample_revenues(...).tobytes() over 70_001 draws (one full
+# 65,536-draw chunk plus a partial one).  Recorded from the searchsorted /
+# np.partition pipeline; any rewrite must keep every bit.  The "mixed"
+# profile has one curve of each kind; "cloned" holds every curve twice, so
+# values and virtual values tie across bidders and tie-breaks are pinned.
+_GOLDEN_CURVES = [
+    cv.make_triangle(0.4, 0.6),
+    cv.make_point_mass(0.8),
+    cv.make_piecewise([(0.0, 0.0), (0.2, 0.3), (0.6, 0.5), (1.0, 0.2)]),
+    cv.make_equal_revenue(0.5),
+]
+_GOLDEN_PROFILES = {
+    "mixed": (cv.make_profile([*_GOLDEN_CURVES, cv.make_triangle(1.0, 0.7)]), 11,
+              PairConstraint(((0, 4), (1, 2))), 2, [0.9, 0.75, 0.5, 1.2, 0.6]),
+    "cloned": (cv.make_profile(_GOLDEN_CURVES * 2), 12,
+               PairConstraint(((0, 4), (1, 5), (2, 6), (3, 7))), 3, [0.9, 0.75, 0.5, 1.2] * 2),
+}
+_GOLDEN = {
+    "mixed": {
+        "spa": "2d23c634230c4500c3c06f5d95d474c1a3bf385a0ceefc30d8d18f2a41fd99ee",
+        "vcg": "168d7458fdf80d9ada7d9ff3d3554ff54de0eddc142d7aafc3d24b0d600ef80a",
+        "vcg_constrained": "7805e7222653c06095eb16b9cdb1eef0af51b75fa1098a3e301a225f72e71a17",
+        "myerson": "83045301351a1edcb6ba7418d252ecfa3deed7a83d8870df5723b3932dc924c4",
+        "lookahead": "698863b8f32fd5de2c44bcf9ee7e31bc6b1c4945ae74781c4f0cf2c76a9d30fe",
+        "spald": "f24931e83e86995288a9cbf2266991829d00a2a3c92524fb6bf3e3a9dceadb43",
+        "posted": "195acbbb8844d0ddf08f342fb6b446558ab1d2258a0d1b118cfa00506a2dfb59",
+    },
+    "cloned": {
+        "spa": "bfe252cdfbade278eca9f6460e38a0b21ca4ca670da3ded8cb0b8d0d4f1d1c20",
+        "vcg": "5f7a442709c499d687c475756350606163ac10b84e978b4dfb25141aa6c30bb6",
+        "vcg_constrained": "18c87369665ef6d26a4db487a6572a23f519a78ec21a0cba1be69d8798103025",
+        "myerson": "ca15077d79e4de7cdab88a545ffd196ee2b00fbd1bd70d1892bd1d1f059d6fa7",
+        "lookahead": "99a6713fce7fa3c9b0247966686a27ce7d7afbb36af9a8bc68b934bf8d39ae51",
+        "spald": "fc682ecd48976275f634864b202b88572f2b96a802dc86e670218abeccc34758",
+        "posted": "96b9492cd510d93d00d40135839248c37425ef88b1a20559bb0cfe37c494a1f6",
+    },
+}
+
+
+@pytest.mark.parametrize("profile_name", sorted(_GOLDEN))
+@pytest.mark.parametrize("mechanism", sorted(_GOLDEN["mixed"]))
+def test_sample_revenues_golden_digest(profile_name, mechanism):
+    profile, seed, pairs, k, prices = _GOLDEN_PROFILES[profile_name]
+    constraint, params = NO_CONSTRAINT, {}
+    if mechanism in ("vcg", "vcg_constrained"):
+        params["k"] = k
+    if mechanism == "vcg_constrained":
+        constraint = pairs
+    if mechanism == "posted":
+        params["prices"] = prices
+    rev = sample_revenues(profile, constraint, mechanism, 70_001, seed, **params)
+    assert hashlib.sha256(rev.tobytes()).hexdigest() == _GOLDEN[profile_name][mechanism]
+
+
+# Small columns drawn from a few values, so ties are common.
+tie_columns = st.integers(1, 9).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]), min_size=n, max_size=n),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@given(tie_columns)
+def test_order_statistics_match_numpy(columns):
+    v = np.array(columns).T  # (n bidders, m draws)
+    before = v.copy()
+    n = v.shape[0]
+    for r in range(1, n + 1):
+        top = _top(v, r)
+        assert len(top) == r
+        for j, row in enumerate(top):
+            want = np.partition(v, n - 1 - j, axis=0)[n - 1 - j]
+            assert np.array_equal(row, want)
+    assert np.array_equal(_first_argmax(v, v.max(axis=0)), np.argmax(v, axis=0))
+    assert np.array_equal(v, before)
+
+
+@pytest.mark.parametrize("mechanism", ["vcg", "vcg_constrained"])
+@pytest.mark.parametrize("k", [0, -1, 1.0, None])
+def test_vcg_rejects_bad_k(mechanism, k):
+    prof = cv.make_profile([cv.make_triangle(0.5, 0.5)] * 3)
+    params = {} if k is None else {"k": k}
+    with pytest.raises(DomainError, match="k >= 1"):
+        sample_revenues(prof, PairConstraint(((0, 1),)), mechanism, 100, 0, **params)
 
 
 def test_estimator_defaults():
