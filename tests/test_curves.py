@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -150,3 +152,47 @@ def test_kink_values():
     assert cv.kink_values(cv.make_triangle(0.5, 0.5)) == (1.0,)
     assert cv.kink_values(cv.make_equal_revenue(2.0)) == (2.0,)
     assert cv.kink_values(cv.make_point_mass(3.0)) == (3.0,)
+
+
+# One curve per constructor, plus the triangle that encodes a point mass.
+_QUERY_CURVES = {
+    "triangle": cv.make_triangle(0.4, 0.6),
+    "triangle_atom": cv.make_triangle(1.0, 0.7),
+    "point_mass": cv.make_point_mass(0.8),
+    "piecewise": cv.make_piecewise([(0.0, 0.0), (0.2, 0.3), (0.6, 0.5), (1.0, 0.2)]),
+    "equal_revenue": cv.make_equal_revenue(0.7),
+}
+_QUERY_QS = [0.0, cv.EPS_MIN, 1e-9, 0.01, 0.1, 0.2, 0.25, 1.0 / 3.0, 0.4, 0.5, 0.6,
+             0.7, 0.75, 0.9, 0.999, 1.0]
+_QUERY_VS = [0.0, 0.05, 0.2, 0.3, 0.5, 0.7, 0.75, 0.8, 1.0, 1.5, 2.0, 3.0, 10.0, 1e6]
+# sha256 over every scalar query's result bits on the grids above, recorded
+# before the curve table replaced the per-kind branches; it pins each query
+# to the last bit.
+_QUERY_GOLDEN = {
+    "triangle": "34ab9d03900bfdc32ba844ea86570c0e42d4a78d37d90da6998aa43995a9455a",
+    "triangle_atom": "a3bb655b8009f74472a3104fe5a6915723b779456bf48844f1fb9a2e1561312a",
+    "point_mass": "b5c809c5e22f846e06d7fd7b411e85cb7aa43015a5abfcdf0b971262624496c2",
+    "piecewise": "c921cdce2aa904d8a08683753f6f28bdc8171d3eb9eb2c77d5bde44dab218083",
+    "equal_revenue": "8e8b77e9e81bda86f4d355de3de61226f5c138a9836d5493a1d3fc1c27fc9439",
+}
+
+
+def _query_results(c):
+    out = []
+    for q in _QUERY_QS:
+        out += [cv.rev(c, q), cv.value(c, q, allow_infinite=True), cv.slope_at(c, q)]
+    vs = _QUERY_VS + [cv.value(c, q) for q in _QUERY_QS if q > 0.0]
+    for v in vs:
+        out += [cv.quantile_of_value(c, v), cv.quantile_lower_of_value(c, v)]
+    out += cv.monopoly(c)
+    out += cv.kink_values(c)
+    for seg in cv.segments(c):
+        out += seg
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_QUERY_CURVES))
+def test_scalar_queries_golden_digest(name):
+    results = _query_results(_QUERY_CURVES[name])
+    digest = hashlib.sha256(struct.pack(f"<{len(results)}d", *results)).hexdigest()
+    assert digest == _QUERY_GOLDEN[name]

@@ -107,6 +107,9 @@ def test_kernels_match_scalar_mechanisms(mechanism):
 # np.partition pipeline; any rewrite must keep every bit.  The "mixed"
 # profile has one curve of each kind; "cloned" holds every curve twice, so
 # values and virtual values tie across bidders and tie-breaks are pinned.
+# "tail07" has two equal-revenue curves at scale 0.7, where scale*(1-q)
+# and scale - scale*q differ in the last bit on many draws (at 0.5 they
+# agree), so it pins the closed form of the unbounded tail.
 _GOLDEN_CURVES = [
     cv.make_triangle(0.4, 0.6),
     cv.make_point_mass(0.8),
@@ -118,6 +121,10 @@ _GOLDEN_PROFILES = {
               PairConstraint(((0, 4), (1, 2))), 2, [0.9, 0.75, 0.5, 1.2, 0.6]),
     "cloned": (cv.make_profile(_GOLDEN_CURVES * 2), 12,
                PairConstraint(((0, 4), (1, 5), (2, 6), (3, 7))), 3, [0.9, 0.75, 0.5, 1.2] * 2),
+    "tail07": (cv.make_profile([cv.make_equal_revenue(0.7), cv.make_triangle(0.3, 0.5),
+                                _GOLDEN_CURVES[2], cv.make_equal_revenue(0.7),
+                                cv.make_point_mass(0.6)]), 13,
+               PairConstraint(((0, 3), (1, 4))), 2, [1.1, 0.9, 0.6, 2.0, 0.5]),
 }
 _GOLDEN = {
     "mixed": {
@@ -137,6 +144,15 @@ _GOLDEN = {
         "lookahead": "99a6713fce7fa3c9b0247966686a27ce7d7afbb36af9a8bc68b934bf8d39ae51",
         "spald": "fc682ecd48976275f634864b202b88572f2b96a802dc86e670218abeccc34758",
         "posted": "96b9492cd510d93d00d40135839248c37425ef88b1a20559bb0cfe37c494a1f6",
+    },
+    "tail07": {
+        "spa": "ece57f749000e8cbb8d8943a7508c8e43ee0d0ed12df33444db021455b6c5f9c",
+        "vcg": "b8816bdf2144e8b4f7f5c0c96d423d60aa1942aec7c1300971614ddddee68db6",
+        "vcg_constrained": "cfa520437294432a93afedb13dc5d1d2317f7c2296fbf40a773320e4bbea7d34",
+        "myerson": "f2329a2e3ac3b351dd0382fe1099e1404d7651f56bcb83919344e6a2a64825b3",
+        "lookahead": "98dc1f0d09201ec5146299df213d02b043ae331e8fce11cf523d7bf046c564af",
+        "spald": "b52c32ca2f43ada5b51bc6996549eb58d49e5efbb252cdc8da7780bf56c80b90",
+        "posted": "fcb0121f6f9e6991496dde3cfc20092a044e9de09cfcb1a03593d966a7e1f1f3",
     },
 }
 
