@@ -130,13 +130,7 @@ def classify_k(
     """
     if k < 2:
         raise HypothesisViolated(f"classifier needs k >= 2, got {k}")
-    if not (0.0 < beta < 1.0 and 0.0 < gamma < 1.0 and 0.0 < delta < 1.0):
-        raise DomainError("beta, gamma, delta must lie in (0,1)")
-    hyp = ((1.0 - gamma) * (1.0 - beta) - delta) / gamma
-    if hyp < 1.5 - _SLACK:
-        raise HypothesisViolated(
-            f"((1-gamma)(1-beta)-delta)/gamma = {hyp:.6f} < 3/2"
-        )
+    _check_k_hyp(beta, gamma, delta)
 
     theta = gamma * exante.opt / k
     qbar = exante.quantiles

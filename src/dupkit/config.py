@@ -32,11 +32,11 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from . import analysis, curves as cv
-from .duplication import DuplicatePlan, extend_profile
+from .duplication import PLAN_MODES, DuplicatePlan, extend_profile
 from .errors import ConcavityViolation, ParseError
 from .exante import solve_exante
 from .mechanisms import NO_CONSTRAINT
-from .simulate import _default_estimator, _summarize, mechanism_names, sample_revenues
+from .simulate import ESTIMATORS, _default_estimator, _summarize, mechanism_names, sample_revenues
 
 BOUND_FUNCS = {
     "single": lambda c: analysis.bound_single(c["alpha"], c["beta"]),
@@ -48,8 +48,6 @@ BOUND_FUNCS = {
     "k-noisy": lambda c: analysis.bound_k_noisy(c["beta"], c["gamma"], c["delta"], c["eps"]),
     "warmup": lambda c: analysis.warmup_constant(),
 }
-
-_PLAN_MODES = {"single_of", "k_copies_of", "set_once", "all_once"}
 
 
 @dataclass(frozen=True)
@@ -72,25 +70,39 @@ def _fail(field: str, why: str):
     raise ParseError(f"config field {field!r}: {why}")
 
 
+def _object(raw: dict, field: str) -> dict:
+    val = raw.get(field, {})
+    if not isinstance(val, dict):
+        _fail(field, "must be an object")
+    return val
+
+
+def _int(val, field: str) -> int:
+    try:
+        return int(val)
+    except (TypeError, ValueError, OverflowError):
+        _fail(field, f"must be an integer, got {val!r}")
+
+
 def _curve_from_spec(spec, pos: int, name: str) -> cv.RevenueCurve:
     field = f"profile.curves[{pos}]"
     if not isinstance(spec, dict) or len(spec) != 1:
         _fail(field, "expected exactly one of triangle/piecewise/point_mass/equal_revenue")
-    kind, body = next(iter(spec.items()))
+    fmt, body = next(iter(spec.items()))
     try:
-        if kind == "triangle":
+        if fmt == "triangle":
             return cv.make_triangle(float(body["q"]), float(body["r"]))
-        if kind == "piecewise":
+        if fmt == "piecewise":
             return cv.make_piecewise([(float(q), float(r)) for q, r in body])
-        if kind == "point_mass":
+        if fmt == "point_mass":
             return cv.make_point_mass(float(body))
-        if kind == "equal_revenue":
+        if fmt == "equal_revenue":
             return cv.make_equal_revenue(float(body))
     except ConcavityViolation as exc:
         raise ConcavityViolation(f"curve {name!r}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
-        _fail(field, f"bad {kind} body: {exc}")
-    _fail(field, f"unknown curve kind {kind!r}")
+        _fail(field, f"bad {fmt} body: {exc}")
+    _fail(field, f"unknown curve kind {fmt!r}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -130,19 +142,23 @@ def parse_config(text: str) -> ExperimentConfig:
 
     plan = None
     if "plan" in raw:
-        p = raw["plan"]
+        p = _object(raw, "plan")
         mode = p.get("mode")
-        if mode not in _PLAN_MODES:
-            _fail("plan.mode", f"must be one of {sorted(_PLAN_MODES)}")
+        if mode not in PLAN_MODES:
+            _fail("plan.mode", f"must be one of {sorted(PLAN_MODES)}")
+        indices = p.get("indices", [])
+        if not isinstance(indices, list):
+            _fail("plan.indices", "must be a list of bidder indices")
         plan = DuplicatePlan(
             mode,
-            index=int(p.get("index", 0)),
-            copies=int(p.get("copies", 1)),
-            indices=tuple(p.get("indices", ())),
+            index=_int(p.get("index", 0), "plan.index"),
+            copies=_int(p.get("copies", 1), "plan.copies"),
+            indices=tuple(_int(j, "plan.indices") for j in indices),
             pair_constrained=bool(p.get("pair_constrained", False)),
         )
 
-    constants = dict(raw.get("constants", {}))
+    constants = dict(_object(raw, "constants"))
+    _int(constants.get("k", 1), "constants.k")
     checks = tuple(raw.get("checks", ()))
     for name in checks:
         if name not in BOUND_FUNCS:
@@ -152,14 +168,16 @@ def parse_config(text: str) -> ExperimentConfig:
         except KeyError as exc:
             _fail("constants", f"bound {name!r} needs constant {exc}")
 
-    sampling = raw.get("sampling", {})
-    n_samples = int(sampling.get("n_samples", 100_000))
-    seed = int(sampling.get("seed", 0))
+    sampling = _object(raw, "sampling")
+    n_samples = _int(sampling.get("n_samples", 100_000), "sampling.n_samples")
+    seed = _int(sampling.get("seed", 0), "sampling.seed")
     estimator = sampling.get("estimator", "")
     if n_samples < 1:
         _fail("sampling.n_samples", "must be >= 1")
+    if estimator not in ("", *ESTIMATORS):
+        _fail("sampling.estimator", f"must be one of {list(ESTIMATORS)} or absent")
 
-    output = raw.get("output", {})
+    output = _object(raw, "output")
     out_path = output.get("path")
     out_format = output.get("format", "json")
     if out_format not in ("json", "csv"):
@@ -168,7 +186,7 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         profile=profile,
         mechanism=mech,
-        mechanism_params=dict(raw.get("mechanism_params", {})),
+        mechanism_params=dict(_object(raw, "mechanism_params")),
         plan=plan,
         constants=constants,
         checks=checks,

@@ -4,15 +4,16 @@ A curve maps a sale probability q in [0,1] to the expected revenue
 Rev(q) = q * F^{-1}(1-q) of posting the price that sells with probability q.
 Regularity of the underlying value distribution is exactly concavity of this
 curve, so every query (value, quantile-of-value, virtual value, monopoly
-point, sampling) reduces to piecewise-linear algebra on breakpoints, with two
-analytic kinds layered on top:
+point, sampling) reduces to piecewise-linear algebra on breakpoints.
 
-* ``point_mass`` at v: Rev(q) = q*v.
-* ``equal_revenue`` with parameter ``scale``: the distribution
-  F(v) = 1 - 1/(v/scale + 1), giving Rev(q) = scale*(1-q) on (0,1].  Its
-  support is unbounded and Rev jumps at q=0 (sup Rev = scale is attained only
-  in the limit q -> 0), so the ``EPS_MIN`` quantile floor below stands in for
-  that limit wherever a concrete number is needed.
+A curve is its breakpoints plus an optional unbounded tail.  A positive
+``scale`` marks the equal-revenue curve: the distribution
+F(v) = 1 - 1/(v/scale + 1), giving Rev(q) = scale*(1-q) on (0,1].  Its
+breakpoints ((0, scale), (1, 0)) record that linear branch, but its support
+is unbounded and Rev jumps at q=0 (sup Rev = scale is attained only in the
+limit q -> 0), so the ``EPS_MIN`` quantile floor below stands in for that
+limit wherever a concrete number is needed.  Triangles, point masses and
+piecewise curves are only different ways to write the breakpoints.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ConcavityViolation, DomainError
 
@@ -27,26 +31,58 @@ from .errors import ConcavityViolation, DomainError
 # when a limiting q -> 0 quantity must be materialized.
 EPS_MIN = 1e-12
 
-TRIANGLE = "triangle"
-PIECEWISE = "piecewise"
-POINT_MASS = "point_mass"
-EQUAL_REVENUE = "equal_revenue"
-
 # Slack used when validating concavity of user-supplied breakpoints.
 _SLOPE_TOL = 1e-9
 
 
+def _interp(qs, rs, q: float) -> float:
+    """Rev(q) on the breakpoints, exact at breakpoints."""
+    j = min(max(bisect_right(qs, q) - 1, 0), len(qs) - 2)
+    q0, q1, r0, r1 = qs[j], qs[j + 1], rs[j], rs[j + 1]
+    return r0 + (r1 - r0) * (q - q0) / (q1 - q0)
+
+
+class CurveTable:
+    """Breakpoint data: Python floats for scalar queries, arrays for sampling.
+
+    ``floor`` is value(1) and ``ceiling`` value(0) (inf for an unbounded
+    tail); ``cuts`` are the interior breakpoints.
+    """
+
+    def __init__(self, curve: RevenueCurve):
+        self.qs = qs = tuple(q for q, _ in curve.breakpoints)
+        self.rs = rs = tuple(r for _, r in curve.breakpoints)
+        segs = []
+        for j in range(1, len(qs)):
+            slope = (rs[j] - rs[j - 1]) / (qs[j] - qs[j - 1])
+            segs.append((qs[j - 1], qs[j], slope, rs[j - 1] - slope * qs[j - 1]))
+        self.segments = tuple(segs)
+        self.floor = 0.0 if curve.scale else _interp(qs, rs, 1.0)
+        self.ceiling = math.inf if curve.scale else segs[0][2]
+        self.q_arr = np.array(qs)
+        self.r_arr = np.array(rs)
+        self.slope_arr = np.array([seg[2] for seg in segs])
+        self.cuts = list(qs[1:-1])
+        # a sampling chunk keeps every bidder's segment index alive, so it
+        # takes the narrowest type (uint8 for up to 255 interior cuts)
+        self.seg_dtype = np.min_scalar_type(len(self.cuts))
+
+
 @dataclass(frozen=True)
 class RevenueCurve:
-    """Immutable revenue curve; build via the make_* constructors."""
+    """Breakpoints plus, when scale > 0, an equal-revenue tail; build via make_*."""
 
-    kind: str
     breakpoints: tuple[tuple[float, float], ...]
-    scale: float = 0.0  # equal_revenue parameter, 0 otherwise
+    scale: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in (TRIANGLE, PIECEWISE, POINT_MASS, EQUAL_REVENUE):
-            raise DomainError(f"unknown curve kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.scale, *(x for p in self.breakpoints for x in p)))):
+            raise DomainError(f"curve numbers must be finite, got {self.breakpoints}")
+
+    @cached_property
+    def table(self) -> CurveTable:
+        """The breakpoint table, built on first use and kept on the curve."""
+        return CurveTable(self)
 
 
 @dataclass(frozen=True)
@@ -85,23 +121,21 @@ def make_triangle(peak_q: float, peak_r: float) -> RevenueCurve:
         points = ((0.0, 0.0), (1.0, float(peak_r)))
     else:
         points = ((0.0, 0.0), (float(peak_q), float(peak_r)), (1.0, 0.0))
-    return RevenueCurve(TRIANGLE, points)
+    return RevenueCurve(points)
 
 
 def make_point_mass(v: float) -> RevenueCurve:
     """Deterministic value v >= 0 (v=0 gives the worthless bidder)."""
     if v < 0.0:
         raise DomainError(f"point mass value must be >= 0, got {v}")
-    return RevenueCurve(POINT_MASS, ((0.0, 0.0), (1.0, float(v))))
+    return RevenueCurve(((0.0, 0.0), (1.0, float(v))))
 
 
 def make_equal_revenue(scale: float) -> RevenueCurve:
     if not scale > 0.0:
         raise DomainError(f"equal_revenue scale must be positive, got {scale}")
     # Breakpoints record the linear branch Rev(q) = scale*(1-q) on (0,1].
-    return RevenueCurve(
-        EQUAL_REVENUE, ((0.0, float(scale)), (1.0, 0.0)), scale=float(scale)
-    )
+    return RevenueCurve(((0.0, float(scale)), (1.0, 0.0)), float(scale))
 
 
 def make_piecewise(points) -> RevenueCurve:
@@ -111,9 +145,10 @@ def make_piecewise(points) -> RevenueCurve:
         raise DomainError("need at least two breakpoints")
     if pts[0][0] != 0.0 or pts[-1][0] != 1.0:
         raise DomainError("breakpoints must start at q=0 and end at q=1")
-    if abs(pts[0][1]) > 1e-15:
+    if not abs(pts[0][1]) <= 1e-15:
         raise DomainError("Rev(0) must be 0")
     pts[0] = (0.0, 0.0)
+    curve = RevenueCurve(tuple(pts))  # rejects non-finite numbers before the slope checks
     prev_slope = math.inf
     for j in range(1, len(pts)):
         q0, r0 = pts[j - 1]
@@ -131,52 +166,31 @@ def make_piecewise(points) -> RevenueCurve:
                 f"{prev_slope:.6g} -> {slope:.6g}"
             )
         prev_slope = slope
-    return RevenueCurve(PIECEWISE, tuple(pts))
+    return curve
 
 
 def is_unbounded(curve: RevenueCurve) -> bool:
     """True when the value support has no finite upper end."""
-    return curve.kind == EQUAL_REVENUE
+    return curve.scale > 0.0
 
 
 def has_unbounded(profile: BidderProfile) -> bool:
     return any(is_unbounded(c) for c in profile.curves)
 
 
-def _qs(curve: RevenueCurve) -> tuple[float, ...]:
-    return tuple(p[0] for p in curve.breakpoints)
-
-
 def segments(curve: RevenueCurve):
-    """Per-segment data (q_lo, q_hi, slope, c) with value(q) = slope + c/q.
-
-    For the equal_revenue kind the single entry covers (0, 1] with the
-    closed-form branch; for everything else the list follows breakpoints.
-    """
-    if curve.kind == EQUAL_REVENUE:
-        return [(0.0, 1.0, -curve.scale, curve.scale)]
-    out = []
-    bp = curve.breakpoints
-    for j in range(1, len(bp)):
-        q0, r0 = bp[j - 1]
-        q1, r1 = bp[j]
-        slope = (r1 - r0) / (q1 - q0)
-        out.append((q0, q1, slope, r0 - slope * q0))
-    return out
+    """Per-segment data (q_lo, q_hi, slope, c) with value(q) = slope + c/q."""
+    return curve.table.segments
 
 
 def rev(curve: RevenueCurve, q: float) -> float:
     """Revenue at sale probability q, exact at breakpoints."""
     if not (0.0 <= q <= 1.0):
         raise DomainError(f"q={q} outside [0,1]")
-    if curve.kind == EQUAL_REVENUE:
+    if curve.scale:
         return 0.0 if q == 0.0 else curve.scale * (1.0 - q)
-    bp = curve.breakpoints
-    qs = _qs(curve)
-    j = min(max(bisect_right(qs, q) - 1, 0), len(bp) - 2)
-    q0, r0 = bp[j]
-    q1, r1 = bp[j + 1]
-    return r0 + (r1 - r0) * (q - q0) / (q1 - q0)
+    t = curve.table
+    return _interp(t.qs, t.rs, q)
 
 
 def value(curve: RevenueCurve, q: float, allow_infinite: bool = False) -> float:
@@ -188,13 +202,10 @@ def value(curve: RevenueCurve, q: float, allow_infinite: bool = False) -> float:
     if not (0.0 <= q <= 1.0):
         raise DomainError(f"q={q} outside [0,1]")
     if q == 0.0:
-        if curve.kind == EQUAL_REVENUE:
-            if allow_infinite:
-                return math.inf
+        if curve.scale and not allow_infinite:
             raise DomainError("value at q=0 is infinite for unbounded support")
-        (q0, r0), (q1, r1) = curve.breakpoints[0], curve.breakpoints[1]
-        return (r1 - r0) / (q1 - q0)
-    if curve.kind == EQUAL_REVENUE:
+        return curve.table.ceiling
+    if curve.scale:
         return curve.scale * (1.0 - q) / q
     return rev(curve, q) / q
 
@@ -203,15 +214,12 @@ def quantile_of_value(curve: RevenueCurve, v: float) -> float:
     """Sale probability q(v) = Pr[value >= v]: largest q with value(q) >= v."""
     if v < 0.0:
         raise DomainError(f"value must be >= 0, got {v}")
-    if curve.kind == EQUAL_REVENUE:
-        return curve.scale / (v + curve.scale)
-    segs = segments(curve)
-    # value(1) is the floor of the value range; the limit at q -> 0 its ceiling
-    if v <= value(curve, 1.0):
+    t = curve.table
+    if v <= t.floor:
         return 1.0
-    if v > value(curve, 0.0):
+    if v > t.ceiling:
         return 0.0
-    for q0, q1, slope, c in segs:
+    for q0, q1, slope, c in t.segments:
         v_hi = slope + c / q1  # value at the right end, the segment minimum
         if v > v_hi:
             # v==slope cannot occur here: that needs c==0, making the
@@ -229,13 +237,12 @@ def quantile_lower_of_value(curve: RevenueCurve, v: float) -> float:
     """
     if v < 0.0:
         raise DomainError(f"value must be >= 0, got {v}")
-    if curve.kind == EQUAL_REVENUE:
-        return curve.scale / (v + curve.scale)
-    if v >= value(curve, 0.0):
+    t = curve.table
+    if v >= t.ceiling:
         return 0.0
-    if v < value(curve, 1.0):
+    if v < t.floor:
         return 1.0
-    for q0, q1, slope, c in segments(curve):
+    for q0, q1, slope, c in t.segments:
         v_hi = slope + c / q1
         if v >= v_hi:
             # value exceeds v on [q0, q) only; c>0 because a c==0 segment
@@ -249,13 +256,11 @@ def monopoly(curve: RevenueCurve) -> tuple[float, float]:
 
     The equal_revenue supremum sits at q -> 0, reported as (EPS_MIN, scale).
     """
-    if curve.kind == EQUAL_REVENUE:
+    if curve.scale:
         return (EPS_MIN, curve.scale)
-    best_q, best_r = curve.breakpoints[0]
-    for q, r in curve.breakpoints[1:]:
-        if r > best_r:
-            best_q, best_r = q, r
-    return (best_q, best_r)
+    t = curve.table
+    best_r = max(t.rs)
+    return (t.qs[t.rs.index(best_r)], best_r)
 
 
 def monopoly_reserve(curve: RevenueCurve) -> float:
@@ -275,13 +280,8 @@ def slope_at(curve: RevenueCurve, q: float) -> float:
     """Right-derivative extended to [0,1] (q=1 uses the final slope)."""
     if not (0.0 <= q <= 1.0):
         raise DomainError(f"q={q} outside [0,1]")
-    if curve.kind == EQUAL_REVENUE:
-        return -curve.scale
-    qs = _qs(curve)
-    j = min(max(bisect_right(qs, q) - 1, 0), len(qs) - 2)
-    q0, r0 = curve.breakpoints[j]
-    q1, r1 = curve.breakpoints[j + 1]
-    return (r1 - r0) / (q1 - q0)
+    t = curve.table
+    return t.segments[min(max(bisect_right(t.qs, q) - 1, 0), len(t.qs) - 2)][2]
 
 
 def sample_value(curve: RevenueCurve, u: float) -> float:
@@ -300,11 +300,9 @@ def kink_values(curve: RevenueCurve) -> tuple[float, ...]:
 
     Quadrature splits integration panels here so each panel is smooth.
     """
-    if curve.kind == EQUAL_REVENUE:
+    if curve.scale:
         return (curve.scale,)
-    vals = {value(curve, 0.0)}
-    for q, _ in curve.breakpoints[1:]:
-        vals.add(value(curve, q))
+    vals = {value(curve, q) for q in curve.table.qs}
     return tuple(sorted(v for v in vals if v > 0.0))
 
 

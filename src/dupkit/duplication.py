@@ -21,6 +21,7 @@ SINGLE_OF = "single_of"
 K_COPIES_OF = "k_copies_of"
 SET_ONCE = "set_once"
 ALL_ONCE = "all_once"
+PLAN_MODES = (SINGLE_OF, K_COPIES_OF, SET_ONCE, ALL_ONCE)
 
 
 @dataclass(frozen=True)
@@ -138,12 +139,12 @@ def noisy_beta_reports(profile: cv.BidderProfile, beta: float, eps: float, seed:
     return out
 
 
-def _plan_for(plan_kind: str, i: int, k: int) -> DuplicatePlan:
-    if plan_kind == SINGLE_OF:
+def _plan_for(mode: str, i: int, k: int) -> DuplicatePlan:
+    if mode == SINGLE_OF:
         return single_of(i)
-    if plan_kind == K_COPIES_OF:
+    if mode == K_COPIES_OF:
         return k_copies_of(i, k)
-    raise DomainError(f"plan kind {plan_kind!r} does not name a single bidder")
+    raise DomainError(f"plan kind {mode!r} does not name a single bidder")
 
 
 def best_single_duplicate(

@@ -14,6 +14,7 @@ t = u/(1-u), which compresses the heavy 1/t^2 tails of unbounded curves onto
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ from .mechanisms import NO_CONSTRAINT, PairConstraint
 
 PLAIN = "plain"
 MEDIAN_OF_MEANS = "median_of_means"
+ESTIMATORS = (PLAIN, MEDIAN_OF_MEANS)
 
 # SplitMix64 constants (Steele, Lea and Flood, OOPSLA 2014), as Python ints:
 # scalar arithmetic on them is exact and masked to 64 bits by hand, and
@@ -95,90 +97,75 @@ def uniforms(seed: int, bidder: int, lo: int, hi: int, out: np.ndarray | None = 
     return np.multiply(out, 2.0**-53, out=out)
 
 
-class _Sampler:
-    """Per-curve vectorized tables: values and slopes at quantiles.
+def _segments(t: cv.CurveTable, q: np.ndarray) -> np.ndarray | None:
+    """Segment index of each quantile, or None when the curve has one segment.
 
-    Quantiles q passed in are already floored at EPS_MIN.  A bounded curve's
-    segment index is the count of interior breakpoints at or below q, the
-    same index ``searchsorted(qs, q, "right") - 1`` clipped to the segments.
+    The index is the count of interior breakpoints at or below q, the same
+    index ``searchsorted(qs, q, "right") - 1`` clipped to the segments.
     """
+    if not t.cuts:
+        return None
+    j = np.empty(q.shape, dtype=t.seg_dtype)
+    np.greater_equal(q, t.cuts[0], out=j)
+    for cut in t.cuts[1:]:
+        j += q >= cut
+    return j
 
-    def __init__(self, curve: cv.RevenueCurve):
-        self.curve = curve
-        self.unbounded = cv.is_unbounded(curve)
-        self.scale = curve.scale
-        if not self.unbounded:
-            self.qs = np.array([q for q, _ in curve.breakpoints])
-            self.rs = np.array([r for _, r in curve.breakpoints])
-            self.slopes = np.diff(self.rs) / np.diff(self.qs)
-            self.cuts = self.qs[1:-1].tolist()
-            # a chunk keeps every bidder's segment index alive, so it takes
-            # the narrowest integer type (uint8 for up to 255 interior cuts)
-            self.seg_dtype = np.min_scalar_type(len(self.cuts))
 
-    def segments(self, q: np.ndarray) -> np.ndarray | None:
-        """Segment index of each quantile, or None when there is one segment."""
-        if self.unbounded or not self.cuts:
-            return None
-        j = np.empty(q.shape, dtype=self.seg_dtype)
-        np.greater_equal(q, self.cuts[0], out=j)
-        for cut in self.cuts[1:]:
-            j += q >= cut
-        return j
+def _values(curve: cv.RevenueCurve, q: np.ndarray, seg, out: np.ndarray) -> np.ndarray:
+    """Values at quantiles q >= EPS_MIN whose segments are seg = _segments(table, q).
 
-    def values(self, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return self.values_at(q, self.segments(q), out)
-
-    def values_at(self, q: np.ndarray, seg, out: np.ndarray | None = None) -> np.ndarray:
-        """(rs[j] + slopes[j]*(q - qs[j])) / q for j = seg, or scale*(1-q)/q.
-
-        The expression keeps this order: Rev(q)/q is not folded into a
-        per-segment value, which would change the last bit.
-        """
-        if out is None:
-            out = np.empty_like(q)
-        if self.unbounded:
-            np.subtract(1.0, q, out=out)
-            np.multiply(self.scale, out, out=out)
-            return np.divide(out, q, out=out)
-        if seg is None:
-            np.subtract(q, self.qs[0], out=out)
-            np.multiply(self.slopes[0], out, out=out)
-            np.add(self.rs[0], out, out=out)
-        else:
-            # seg is in range; mode="clip" only skips take's buffered bounds check
-            gathered = np.empty_like(q)
-            np.take(self.qs, seg, out=out, mode="clip")
-            np.subtract(q, out, out=out)
-            np.take(self.slopes, seg, out=gathered, mode="clip")
-            np.multiply(gathered, out, out=out)
-            np.take(self.rs, seg, out=gathered, mode="clip")
-            np.add(gathered, out, out=out)
+    That is (rs[j] + slopes[j]*(q - qs[j])) / q for j = seg, or scale*(1-q)/q
+    on an unbounded tail, as in curves.value.  The expression keeps this
+    order: Rev(q)/q is not folded into a per-segment value, which would
+    change the last bit.
+    """
+    if curve.scale:
+        np.subtract(1.0, q, out=out)
+        np.multiply(curve.scale, out, out=out)
         return np.divide(out, q, out=out)
+    t = curve.table
+    if seg is None:
+        np.subtract(q, t.q_arr[0], out=out)
+        np.multiply(t.slope_arr[0], out, out=out)
+        np.add(t.r_arr[0], out, out=out)
+    else:
+        # seg is in range; mode="clip" only skips take's buffered bounds check
+        gathered = np.empty_like(q)
+        np.take(t.q_arr, seg, out=out, mode="clip")
+        np.subtract(q, out, out=out)
+        np.take(t.slope_arr, seg, out=gathered, mode="clip")
+        np.multiply(gathered, out, out=out)
+        np.take(t.r_arr, seg, out=gathered, mode="clip")
+        np.add(gathered, out, out=out)
+    return np.divide(out, q, out=out)
 
-    def phi(self, seg, out: np.ndarray) -> np.ndarray:
-        """Revenue-curve slope (the virtual value) at the quantiles of seg = segments(q)."""
-        if self.unbounded:
-            out.fill(-self.scale)
-        elif seg is None:
-            out.fill(self.slopes[0])
-        else:
-            np.take(self.slopes, seg, out=out, mode="clip")
-        return out
 
-    def win_region_edge(self, strict: np.ndarray, weak: np.ndarray) -> np.ndarray:
-        """Largest quantile whose slope is >= 0, > strict, and >= weak.
+def _phi(t: cv.CurveTable, seg, out: np.ndarray) -> np.ndarray:
+    """Revenue-curve slope (the virtual value) at the quantiles of seg = _segments(t, q).
 
-        Slopes are a non-increasing step function of q, so each condition
-        admits a prefix of segments; the edge is the left endpoint of the
-        first segment failing any of them.
-        """
-        neg = -self.slopes  # ascending
-        j_nonneg = np.searchsorted(neg, 0.0, side="right")
-        j_strict = np.searchsorted(neg, -np.asarray(strict), side="left")
-        j_weak = np.searchsorted(neg, -np.asarray(weak), side="right")
-        j = np.minimum(np.minimum(j_strict, j_weak), j_nonneg)
-        return self.qs[j]
+    An unbounded tail's single slope is exactly -scale.
+    """
+    if seg is None:
+        out.fill(t.slope_arr[0])
+    else:
+        np.take(t.slope_arr, seg, out=out, mode="clip")
+    return out
+
+
+def _win_region_edge(t: cv.CurveTable, strict: np.ndarray, weak: np.ndarray) -> np.ndarray:
+    """Largest quantile whose slope is >= 0, > strict, and >= weak.
+
+    Slopes are a non-increasing step function of q, so each condition
+    admits a prefix of segments; the edge is the left endpoint of the
+    first segment failing any of them.
+    """
+    neg = -t.slope_arr  # ascending
+    j_nonneg = np.searchsorted(neg, 0.0, side="right")
+    j_strict = np.searchsorted(neg, -np.asarray(strict), side="left")
+    j_weak = np.searchsorted(neg, -np.asarray(weak), side="right")
+    j = np.minimum(np.minimum(j_strict, j_weak), j_nonneg)
+    return t.q_arr[j]
 
 
 @dataclass(frozen=True)
@@ -186,7 +173,7 @@ class _Chunk:
     """One chunk of draws: sample counters [lo, hi) of every bidder."""
 
     v: np.ndarray  # (n, hi - lo) values at the quantiles q = max(u, EPS_MIN)
-    seg: list  # per bidder i: segments(q[i]), shared by values and virtual values
+    seg: list  # per bidder i: _segments(q[i]), shared by values and virtual values
     seed: int
     lo: int
     hi: int
@@ -245,11 +232,11 @@ def _first_argmax(v: np.ndarray, best: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _rev_spa(samplers, constraint, ch, params):
+def _rev_spa(curves, constraint, ch, params):
     return _top_two(ch.v)[1]
 
 
-def _rev_vcg_k(samplers, constraint, ch, params):
+def _rev_vcg_k(curves, constraint, ch, params):
     k = params["k"]
     n, m = ch.v.shape
     if n <= k:
@@ -257,10 +244,10 @@ def _rev_vcg_k(samplers, constraint, ch, params):
     return k * _top(ch.v, k + 1)[k]
 
 
-def _rev_vcg_constrained(samplers, constraint, ch, params):
+def _rev_vcg_constrained(curves, constraint, ch, params):
     k = params["k"]
     v = ch.v
-    n = len(samplers)
+    n = len(curves)
     partner = constraint.partner(n)
     # Pool one entry per pair (its max; the min is the within-pair rival)
     # and one per unpaired bidder (rival 0).  Top-k pool entries win and
@@ -286,12 +273,12 @@ def _rev_vcg_constrained(samplers, constraint, ch, params):
     return np.maximum(win_rival, thr[None, :]).sum(axis=0)
 
 
-def _rev_myerson(samplers, constraint, ch, params):
+def _rev_myerson(curves, constraint, ch, params):
     n, m = ch.v.shape
     phi = np.empty(m)
-    best = samplers[0].phi(ch.seg[0], np.empty(m))
+    best = _phi(curves[0].table, ch.seg[0], np.empty(m))
     for i in range(1, n):
-        np.maximum(best, samplers[i].phi(ch.seg[i], phi), out=best)
+        np.maximum(best, _phi(curves[i].table, ch.seg[i], phi), out=best)
     # The winner is the first bidder whose virtual value equals `best`: the
     # running maximum through bidder i is below `best` exactly when i comes
     # before the winner, and already equals it exactly when i comes after.
@@ -304,8 +291,8 @@ def _rev_myerson(samplers, constraint, ch, params):
     gap = np.empty(m)
     side = np.empty(m)
     before = np.empty(m, dtype=bool)
-    for i, s in enumerate(samplers):
-        s.phi(ch.seg[i], phi)
+    for i, c in enumerate(curves):
+        _phi(c.table, ch.seg[i], phi)
         if i > 0:
             np.copysign(np.inf, gap, out=side)
             np.minimum(phi, side, out=side)
@@ -318,21 +305,21 @@ def _rev_myerson(samplers, constraint, ch, params):
         np.negative(side, out=side)
         np.minimum(phi, side, out=side)
         np.maximum(strict, side, out=strict)
+    # an unbounded tail's virtual value is -scale < 0, so it never wins
     sold = best >= 0.0
     out = np.zeros(m)
-    for i, s in enumerate(samplers):
-        if s.unbounded:
-            continue
+    for i, c in enumerate(curves):
         cols = np.flatnonzero(sold & (win == i))
         if cols.size:
-            q_pay = np.maximum(s.win_region_edge(strict[cols], weak[cols]), cv.EPS_MIN)
-            out[cols] = np.minimum(s.values(q_pay), ch.v[i, cols])
+            q_pay = np.maximum(_win_region_edge(c.table, strict[cols], weak[cols]), cv.EPS_MIN)
+            pay = _values(c, q_pay, _segments(c.table, q_pay), np.empty(cols.size))
+            out[cols] = np.minimum(pay, ch.v[i, cols])
     return out
 
 
-def _rev_lookahead(samplers, constraint, ch, params):
+def _rev_lookahead(curves, constraint, ch, params):
     v = ch.v
-    reserves = np.array([cv.monopoly_reserve(s.curve) for s in samplers])
+    reserves = np.array([cv.monopoly_reserve(c) for c in curves])
     top_val, second = _top_two(v)
     price = np.maximum(second, reserves.take(_first_argmax(v, top_val), mode="clip"))
     # an atom draw equals its own reserve only up to float rounding, so the
@@ -341,7 +328,7 @@ def _rev_lookahead(samplers, constraint, ch, params):
     return np.where(sold, np.minimum(price, top_val), 0.0)
 
 
-def _rev_spald(samplers, constraint, ch, params):
+def _rev_spald(curves, constraint, ch, params):
     v = ch.v
     n, m = v.shape
     top_val, second = _top_two(v)
@@ -350,19 +337,17 @@ def _rev_spald(samplers, constraint, ch, params):
     # this mechanism under the duplicate SPA pathwise.
     dup = np.empty((n, m))
     q = np.empty(m)
-    for j, s in enumerate(samplers):
+    for j, c in enumerate(curves):
         uniforms(ch.seed, n + j, ch.lo, ch.hi, out=q)
         np.maximum(q, cv.EPS_MIN, out=q)
-        s.values(q, out=dup[j])
+        _values(c, q, _segments(c.table, q), dup[j])
     # flat index of (top bidder's row, column) in the contiguous dup block
     dup_val = np.take(dup, _first_argmax(v, top_val) * m + np.arange(m))
     return np.minimum(np.maximum(second, dup_val), top_val)
 
 
-def _rev_posted(samplers, constraint, ch, params):
+def _rev_posted(curves, constraint, ch, params):
     prices = np.asarray(params["prices"], dtype=np.float64)
-    if len(prices) != len(samplers):
-        raise ProfileMismatch(f"{len(prices)} prices for {len(samplers)} bidders")
     # Bidders are offered their prices in index order and the first whose
     # value meets it buys; that bidder's index is n minus the number of
     # offers made once some bidder has met a price, and n means no sale.
@@ -410,10 +395,15 @@ def sample_revenues(
         k = params.get("k")
         if not isinstance(k, (int, np.integer)) or k < 1:
             raise DomainError(f"{mechanism} needs an integer k >= 1, got {k!r}")
+    if mechanism == "posted":
+        prices = params.get("prices")
+        if not (isinstance(prices, (list, tuple)) and len(prices) == profile.n
+                and all(isinstance(p, numbers.Real) for p in prices)):
+            raise DomainError(f"posted needs a prices list of {profile.n} numbers, got {prices!r}")
     if constraint is None:
         constraint = NO_CONSTRAINT
     kernel = _MECHANISMS[mechanism]
-    samplers = [_Sampler(c) for c in profile.curves]
+    curves = profile.curves
     out = np.empty(n_samples)
 
     def fill(spans) -> None:
@@ -425,12 +415,12 @@ def sample_revenues(
         for lo, hi in spans:
             m = hi - lo
             seg = []
-            for i, s in enumerate(samplers):
+            for i, c in enumerate(curves):
                 qi = uniforms(seed, i, lo, hi, out=q[:m])
                 np.maximum(qi, cv.EPS_MIN, out=qi)
-                seg.append(s.segments(qi))
-                s.values_at(qi, seg[i], v[i, :m])
-            out[lo:hi] = kernel(samplers, constraint, _Chunk(v[:, :m], seg, seed, lo, hi), params)
+                seg.append(_segments(c.table, qi))
+                _values(c, qi, seg[i], v[i, :m])
+            out[lo:hi] = kernel(curves, constraint, _Chunk(v[:, :m], seg, seed, lo, hi), params)
 
     spans = [(lo, min(lo + _CHUNK, n_samples)) for lo in range(0, n_samples, _CHUNK)]
     if workers and workers > 1 and len(spans) > 1:

@@ -295,10 +295,8 @@ def _grid_opt(profile, k, steps=120, rounds=3):
     highs = [1.0] * n
 
     def rev_vec(i, q):
-        c = profile.curves[i]
-        qs = np.array([p for p, _ in c.breakpoints])
-        rs = np.array([r for _, r in c.breakpoints])
-        return np.interp(q, qs, rs)
+        t = profile.curves[i].table
+        return np.interp(q, t.q_arr, t.r_arr)
 
     best_q = None
     for _ in range(rounds):

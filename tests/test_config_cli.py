@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -221,6 +222,38 @@ def test_cli_simulate_bad_k_is_usage_error(tmp_path, mechanism, k):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "command, change, field",
+    [
+        ("exante", {"profile": {"curves": [{"piecewise": [[0, 0], [0.5, math.inf], [1, 0]]}]}},
+         "'profile.curves[0]'"),
+        ("exante", {"profile": {"curves": [{"triangle": {"q": 0.5, "r": math.inf}}]}},
+         "'profile.curves[0]'"),
+        ("exante", {"profile": {"curves": [{"point_mass": math.nan}]}}, "'profile.curves[0]'"),
+        ("exante", {"profile": {"curves": [{"equal_revenue": math.inf}]}}, "'profile.curves[0]'"),
+        ("simulate", {"plan": "all_once"}, "'plan'"),
+        ("simulate", {"plan": {"mode": "single_of", "index": "x"}}, "'plan.index'"),
+        ("simulate", {"sampling": {"n_samples": "lots"}}, "'sampling.n_samples'"),
+        ("simulate", {"sampling": {"n_samples": 100, "estimator": "trimmed"}},
+         "'sampling.estimator'"),
+        ("simulate", {"mechanism": "posted"}, "prices"),
+        ("simulate", {"mechanism": "posted", "mechanism_params": {"prices": [1.0]}}, "prices"),
+    ],
+    ids=["inf-piecewise", "inf-triangle", "nan-point-mass", "inf-equal-revenue", "plan-string",
+         "plan-index", "n-samples", "estimator", "posted-no-prices", "posted-short-prices"],
+)
+def test_cli_bad_input_is_usage_error(tmp_path, command, change, field):
+    path = write_config(tmp_path, {**BASE, **change})
+    proc = subprocess.run(
+        [sys.executable, "-m", "dupkit.cli", command, "--config", path],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert field in json.loads(proc.stderr)["detail"]
 
 
 def test_cli_csv_format(tmp_path, capsys):
