@@ -1,13 +1,16 @@
 import hashlib
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dupkit import curves as cv
+from dupkit.duplication import all_once, extend_profile
 from dupkit.errors import DomainError, ProfileMismatch, UnboundedExpectation
+from dupkit.examples import lbhr_profile, n3_profile
 from dupkit.instances import random_profile
 from dupkit.mechanisms import (
     NO_CONSTRAINT,
@@ -305,3 +308,25 @@ def test_mom_blocks_rule():
     assert isinstance(est, Estimate)
     assert est.blocks == math.isqrt(999) + 1  # ceil(sqrt(n))
     assert est.n_samples == 1000
+
+
+# sha256 of the (mean, stderr) bits of median-of-means Estimates of the
+# all-duplicated SPA, seed 7, over the sizes below (block counts from 1 to
+# 1,001, square and non-square n, one and several chunks).  Recorded from
+# the np.array_split summary; any rewrite must keep every bit.
+_MOM_SIZES = (1, 2, 3, 17, 1000, 20_000, 40_000, 70_001, 123_457, 1_000_007)
+_MOM_GOLDEN = {
+    "lbhr": (lbhr_profile, "7f2d50235179abe53f23ca42c2bdaea1c82addb94ee3e847518ba2bc2f0a7594"),
+    "n3": (n3_profile, "197474256a505338af4db8ca92f374d7571443911e63ea08320816b0bb7b886d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MOM_GOLDEN))
+def test_median_of_means_golden_digest(name):
+    make, digest = _MOM_GOLDEN[name]
+    both, _ = extend_profile(make(), all_once())
+    bits = []
+    for n in _MOM_SIZES:
+        est = estimate_revenue(both, NO_CONSTRAINT, "spa", n, 7, "median_of_means")
+        bits += [est.mean, est.stderr]
+    assert hashlib.sha256(struct.pack(f"<{len(bits)}d", *bits)).hexdigest() == digest
