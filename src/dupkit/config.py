@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -128,8 +129,11 @@ def parse_config(text: str) -> ExperimentConfig:
     curve_specs = prof_spec["curves"]
     if not isinstance(curve_specs, list) or not curve_specs:
         _fail("profile.curves", "must be a nonempty list")
-    if names is not None and len(names) != len(curve_specs):
-        _fail("profile.names", "length must match curves")
+    if names is not None:
+        if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+            _fail("profile.names", f"must be a list of strings, got {names!r}")
+        if len(names) != len(curve_specs):
+            _fail("profile.names", "length must match curves")
     curves = [
         _curve_from_spec(spec, i, names[i] if names else f"#{i}")
         for i, spec in enumerate(curve_specs)
@@ -159,7 +163,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
     constants = dict(_object(raw, "constants"))
     _int(constants.get("k", 1), "constants.k")
-    checks = tuple(raw.get("checks", ()))
+    for name, val in constants.items():
+        number = isinstance(val, numbers.Real) and not isinstance(val, bool)
+        if name != "k" and not (number and math.isfinite(val)):
+            _fail(f"constants.{name}", f"must be a finite number, got {val!r}")
+    checks = raw.get("checks", [])
+    if not (isinstance(checks, list) and all(isinstance(x, str) for x in checks)):
+        _fail("checks", f"must be a list of bound names, got {checks!r}")
+    checks = tuple(checks)
     for name in checks:
         if name not in BOUND_FUNCS:
             _fail("checks", f"unknown bound {name!r}; use one of {sorted(BOUND_FUNCS)}")

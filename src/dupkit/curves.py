@@ -36,9 +36,15 @@ _SLOPE_TOL = 1e-9
 
 
 def _interp(qs, rs, q: float) -> float:
-    """Rev(q) on the breakpoints, exact at breakpoints."""
+    """Rev(q) on the breakpoints, exact at breakpoints.
+
+    Only the last segment is evaluated at its right end (q = 1), where the
+    chord's r0 + (r1 - r0) can miss r1 by an ulp, so that end returns r1.
+    """
     j = min(max(bisect_right(qs, q) - 1, 0), len(qs) - 2)
     q0, q1, r0, r1 = qs[j], qs[j + 1], rs[j], rs[j + 1]
+    if q == q1:
+        return r1
     return r0 + (r1 - r0) * (q - q0) / (q1 - q0)
 
 

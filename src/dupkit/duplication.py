@@ -10,7 +10,6 @@ a single sample per bidder.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import curves as cv
@@ -157,19 +156,13 @@ def best_single_duplicate(
     """Exhaustive search for the best bidder to duplicate.
 
     evaluator(extended_profile, constraint) -> expected revenue; it must be
-    deterministic so the argmax is reproducible.  Candidates can run on a
-    thread pool; results merge by index, so worker count never changes the
-    answer.
+    deterministic so the argmax is reproducible.  Candidates run serially:
+    a thread pool measured slower than that on 2 cores.  ``workers`` is
+    accepted and ignored, for callers written against that pool.
     """
-
-    def score(i: int) -> float:
+    revs = []
+    for i in range(profile.n):
         extended, constraint = extend_profile(profile, _plan_for(plan_kind, i, k))
-        return float(evaluator(extended, constraint))
-
-    if workers and workers > 1 and profile.n > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            revs = list(pool.map(score, range(profile.n)))
-    else:
-        revs = [score(i) for i in range(profile.n)]
+        revs.append(float(evaluator(extended, constraint)))
     best = min(range(profile.n), key=lambda i: (-revs[i], i))
     return best, revs[best]

@@ -13,6 +13,7 @@ t = u/(1-u), which compresses the heavy 1/t^2 tails of unbounded curves onto
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -74,6 +75,15 @@ def _sm64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
+@functools.cache
+def _golden_steps() -> np.ndarray:
+    """GOLDEN*i mod 2^64 for i < _CHUNK, read-only; built on the first draw,
+    so a process that never samples does not hold it."""
+    steps = np.multiply(np.arange(_CHUNK, dtype=np.uint64), _GOLDEN)
+    steps.flags.writeable = False
+    return steps
+
+
 def uniforms(seed: int, bidder: int, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
     """U[0,1) draws for one bidder substream over sample counters [lo, hi).
 
@@ -88,8 +98,12 @@ def uniforms(seed: int, bidder: int, lo: int, hi: int, out: np.ndarray | None = 
     stream = _sm64_scalar(((seed & _MASK) * _SEED_MIX ^ (bidder + 1) * _BIDDER_MIX) & _MASK)
     z = out.view(np.uint64)
     # stream + GOLDEN*(lo + i) mod 2^64, split as a scalar base plus GOLDEN*i
-    np.multiply(np.arange(hi - lo, dtype=np.uint64), _GOLDEN, out=z)
-    np.add(z, (stream + _GOLDEN * lo) & _MASK, out=z)
+    base = (stream + _GOLDEN * lo) & _MASK
+    if hi - lo <= _CHUNK:
+        np.add(_golden_steps()[: hi - lo], base, out=z)
+    else:
+        np.multiply(np.arange(hi - lo, dtype=np.uint64), _GOLDEN, out=z)
+        np.add(z, base, out=z)
     _sm64(z, np.empty_like(z))
     np.right_shift(z, 11, out=z)
     # z < 2^53 converts to float64 exactly, and the scaling is a power of two
@@ -247,30 +261,61 @@ def _rev_vcg_k(curves, constraint, ch, params):
 def _rev_vcg_constrained(curves, constraint, ch, params):
     k = params["k"]
     v = ch.v
-    n = len(curves)
+    n, width = v.shape
     partner = constraint.partner(n)
     # Pool one entry per pair (its max; the min is the within-pair rival)
     # and one per unpaired bidder (rival 0).  Top-k pool entries win and
     # each pays the larger of the (k+1)-st pool value and its rival.
-    rows = []
-    rivals = []
-    for i in range(n):
-        j = partner[i]
-        if j < 0:
-            rows.append(v[i])
-            rivals.append(np.zeros(v.shape[1]))
-        elif i < j:
-            rows.append(np.maximum(v[i], v[j]))
-            rivals.append(np.minimum(v[i], v[j]))
-    pool = np.stack(rows)
-    rival = np.stack(rivals)
-    m = pool.shape[0]
-    if m <= k:
+    entries = [(i, j) for i, j in enumerate(partner) if j < 0 or i < j]
+    if len(entries) <= k:  # every entry wins and pays its rival
+        rival = np.zeros((len(entries), width))
+        for row, (i, j) in zip(rival, entries):
+            if j >= 0:
+                np.minimum(v[i], v[j], out=row)
         return rival.sum(axis=0)
-    thr = _top(pool, k + 1)[k]
-    order = np.argsort(-pool, axis=0, kind="stable")[:k]
-    win_rival = np.take_along_axis(rival, order, axis=0)
-    return np.maximum(win_rival, thr[None, :]).sum(axis=0)
+    # A running top-(k+1) in stable descending order, as in _top, whose
+    # first k slots carry their entries' rivals in win_rival.  A new entry
+    # x passes slot s exactly where x > top[s] (ties keep the earlier entry
+    # ahead); the slots are sorted, so from there on it and every entry it
+    # displaces move down one slot.  Slot k keeps only its value.  Rivals
+    # move by an xor swap of their bits, which is exact and branch-free
+    # where a masked copy pays a branch per element.
+    top = np.empty((k + 1, width))
+    filled = 0
+    win_rival = np.empty((k, width))
+    pooled, moving, spare = np.empty(width), np.empty(width), np.empty(width)
+    rival = np.empty(width)  # the rival moving down with `moving`
+    slot_bits, rival_bits = win_rival.view(np.uint64), rival.view(np.uint64)
+    passes = np.empty(width, dtype=bool)
+    for i, j in entries:
+        if j < 0:
+            x = v[i]
+            rival.fill(0.0)
+        else:
+            x = np.maximum(v[i], v[j], out=pooled)
+            np.minimum(v[i], v[j], out=rival)
+        np.copyto(moving, x)
+        for s in range(min(filled, k)):
+            t = top[s]
+            np.greater(x, t, out=passes)
+            # spare is free until the compare-exchange below: it holds the
+            # xor of the two rivals' bits where the entry passes, else 0
+            diff = np.bitwise_xor(slot_bits[s], rival_bits, out=spare.view(np.uint64))
+            np.multiply(diff, passes, out=diff)
+            np.bitwise_xor(slot_bits[s], diff, out=slot_bits[s])
+            np.bitwise_xor(rival_bits, diff, out=rival_bits)
+            np.minimum(t, moving, out=spare)
+            np.maximum(t, moving, out=t)
+            moving, spare = spare, moving
+        if filled == k + 1:
+            np.maximum(top[k], moving, out=top[k])
+        else:  # fewer than k+1 slots so far: the moving entry opens one
+            top[filled] = moving
+            if filled < k:
+                win_rival[filled] = rival
+            filled += 1
+    np.maximum(win_rival, top[k], out=win_rival)
+    return win_rival.sum(axis=0)
 
 
 def _rev_myerson(curves, constraint, ch, params):
@@ -436,6 +481,21 @@ def _default_estimator(*profiles: cv.BidderProfile) -> str:
     return MEDIAN_OF_MEANS if any(cv.has_unbounded(p) for p in profiles) else PLAIN
 
 
+def _block_means(rev: np.ndarray, blocks: int) -> np.ndarray:
+    """Means of the np.array_split(rev, blocks) blocks, bit for bit.
+
+    array_split makes n % blocks leading blocks one longer than the rest;
+    each run of equal-length blocks is one reshape, and a row mean sums its
+    block the way a 1-d mean does.
+    """
+    size, longer = divmod(rev.shape[0], blocks)
+    split = longer * (size + 1)
+    means = np.empty(blocks)
+    rev[:split].reshape(longer, size + 1).mean(axis=1, out=means[:longer])
+    rev[split:].reshape(blocks - longer, size).mean(axis=1, out=means[longer:])
+    return means
+
+
 def _summarize(rev: np.ndarray, seed: int, estimator: str) -> Estimate:
     n = rev.shape[0]
     if estimator == PLAIN:
@@ -444,7 +504,7 @@ def _summarize(rev: np.ndarray, seed: int, estimator: str) -> Estimate:
         return Estimate(mean, stderr, n, seed, PLAIN)
     if estimator == MEDIAN_OF_MEANS:
         blocks = math.isqrt(n - 1) + 1 if n > 1 else 1
-        means = np.array([b.mean() for b in np.array_split(rev, blocks)])
+        means = _block_means(rev, blocks)
         mean = float(np.median(means))
         stderr = float(means.std(ddof=1) / math.sqrt(blocks)) if blocks > 1 else 0.0
         return Estimate(mean, stderr, n, seed, MEDIAN_OF_MEANS, blocks)

@@ -240,9 +240,13 @@ def test_cli_simulate_bad_k_is_usage_error(tmp_path, mechanism, k):
          "'sampling.estimator'"),
         ("simulate", {"mechanism": "posted"}, "prices"),
         ("simulate", {"mechanism": "posted", "mechanism_params": {"prices": [1.0]}}, "prices"),
+        ("exante", {"checks": 5}, "'checks'"),
+        ("exante", {"constants": {"alpha": "x"}, "checks": ["single"]}, "'constants.alpha'"),
+        ("exante", {"profile": {**BASE["profile"], "names": 5}}, "'profile.names'"),
     ],
     ids=["inf-piecewise", "inf-triangle", "nan-point-mass", "inf-equal-revenue", "plan-string",
-         "plan-index", "n-samples", "estimator", "posted-no-prices", "posted-short-prices"],
+         "plan-index", "n-samples", "estimator", "posted-no-prices", "posted-short-prices",
+         "checks-not-list", "constant-not-number", "names-not-list"],
 )
 def test_cli_bad_input_is_usage_error(tmp_path, command, change, field):
     path = write_config(tmp_path, {**BASE, **change})

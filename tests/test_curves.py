@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import struct
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from dupkit import curves as cv
 from dupkit.errors import ConcavityViolation, DomainError
+from dupkit.instances import random_concave_curve, random_triangle
 
 triangle_params = st.tuples(
     st.floats(min_value=0.01, max_value=1.0),
@@ -93,6 +95,18 @@ def test_quantile_value_galois(params, q):
     q_back = cv.quantile_of_value(c, v * (1.0 - 1e-12))
     assert q_back >= q - 1e-9
     assert cv.value(c, q_back) >= v - 1e-9 or q_back == 1.0
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_value_at_one_round_trips(seed):
+    # Rev(1) is the last breakpoint's revenue to the bit, so the lowest value
+    # maps back to quantile 1 (a chord evaluated at q=1 could land an ulp
+    # below 0 and make quantile_of_value reject the value)
+    rng = random.Random(seed)
+    for _ in range(10):
+        for c in (random_triangle(rng), random_concave_curve(rng)):
+            assert cv.rev(c, 1.0) == c.breakpoints[-1][1]
+            assert cv.quantile_of_value(c, cv.value(c, 1.0)) == 1.0
 
 
 @given(triangle_params, st.floats(min_value=0.0, max_value=1.0),

@@ -93,11 +93,3 @@ def test_best_single_duplicate_exhaustive(prof):
     assert val == pytest.approx(max(scores))
     assert idx == scores.index(max(scores))
 
-
-def test_best_single_duplicate_worker_independent(prof):
-    def evaluator(extended, constraint):
-        return mechanism_revenue_quadrature(extended, k=1)
-
-    assert best_single_duplicate(prof, evaluator, workers=0) == best_single_duplicate(
-        prof, evaluator, workers=4
-    )

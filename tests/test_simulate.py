@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dupkit import curves as cv
 from dupkit.duplication import all_once, extend_profile
@@ -25,7 +25,10 @@ from dupkit.mechanisms import (
 )
 from dupkit.simulate import (
     Estimate,
+    _block_means,
+    _Chunk,
     _first_argmax,
+    _rev_vcg_constrained,
     _top,
     estimate_revenue,
     expected_order_stat,
@@ -200,6 +203,55 @@ def test_order_statistics_match_numpy(columns):
     assert np.array_equal(v, before)
 
 
+def _vcg_constrained_by_argsort(v, constraint, k):
+    """Reference: stack the pool and its rivals, pick winners by stable argsort."""
+    n = v.shape[0]
+    partner = constraint.partner(n)
+    rows, rivals = [], []
+    for i in range(n):
+        j = partner[i]
+        if j < 0:
+            rows.append(v[i])
+            rivals.append(np.zeros(v.shape[1]))
+        elif i < j:
+            rows.append(np.maximum(v[i], v[j]))
+            rivals.append(np.minimum(v[i], v[j]))
+    pool, rival = np.stack(rows), np.stack(rivals)
+    if pool.shape[0] <= k:
+        return rival.sum(axis=0)
+    thr = np.partition(pool, pool.shape[0] - 1 - k, axis=0)[pool.shape[0] - 1 - k]
+    order = np.argsort(-pool, axis=0, kind="stable")[:k]
+    return np.maximum(np.take_along_axis(rival, order, axis=0), thr[None, :]).sum(axis=0)
+
+
+# A wrong tie-break among pool entries changes no payment, only the order
+# of the payment sum from the third winner on, so these columns have up to
+# 12 bidders and values whose sums depend on their order.
+rounding_tie_columns = st.integers(1, 12).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7]), min_size=n, max_size=n),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+# The example pools (0.2 rival 0.2), (0.2 rival 0.1), (0.7 rival 0.3) and 0.1
+# unpaired.  The 0.7 entry displaces the first 0.2, which must stay ahead of
+# the tied second one: 0.3 + 0.2 + 0.1 summed in the other order is an ulp off.
+@example([[0.2, 0.2, 0.1, 0.2, 0.3, 0.7, 0.1]], 3, 3)
+@given(rounding_tie_columns, st.integers(0, 6), st.integers(1, 5))
+def test_vcg_constrained_matches_stable_argsort(columns, n_pairs, k):
+    v = np.array(columns).T
+    n_pairs = min(n_pairs, v.shape[0] // 2)
+    constraint = PairConstraint(tuple((2 * p, 2 * p + 1) for p in range(n_pairs)))
+    before = v.copy()
+    got = _rev_vcg_constrained(None, constraint, _Chunk(v, [], 0, 0, v.shape[1]), {"k": k})
+    want = _vcg_constrained_by_argsort(v, constraint, k)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(v, before)
+
+
 @pytest.mark.parametrize("mechanism", ["vcg", "vcg_constrained"])
 @pytest.mark.parametrize("k", [0, -1, 1.0, None])
 def test_vcg_rejects_bad_k(mechanism, k):
@@ -330,3 +382,20 @@ def test_median_of_means_golden_digest(name):
         est = estimate_revenue(both, NO_CONSTRAINT, "spa", n, 7, "median_of_means")
         bits += [est.mean, est.stderr]
     assert hashlib.sha256(struct.pack(f"<{len(bits)}d", *bits)).hexdigest() == digest
+
+
+def _block_means_by_split(rev, blocks):
+    return np.array([b.mean() for b in np.array_split(rev, blocks)])
+
+
+@given(st.integers(1, 5_000), st.integers(0, 2**32 - 1))
+def test_block_means_match_array_split(n, seed):
+    rev = np.random.default_rng(seed).pareto(1.5, n)
+    for blocks in {1, math.isqrt(n - 1) + 1, n}:
+        assert _block_means(rev, blocks).tobytes() == _block_means_by_split(rev, blocks).tobytes()
+
+
+def test_block_means_match_array_split_large():
+    rev = np.random.default_rng(3).pareto(1.5, 1_000_007)
+    blocks = math.isqrt(rev.shape[0] - 1) + 1
+    assert _block_means(rev, blocks).tobytes() == _block_means_by_split(rev, blocks).tobytes()
