@@ -156,9 +156,8 @@ def best_single_duplicate(
     """Exhaustive search for the best bidder to duplicate.
 
     evaluator(extended_profile, constraint) -> expected revenue; it must be
-    deterministic so the argmax is reproducible.  Candidates run serially:
-    a thread pool measured slower than that on 2 cores.  ``workers`` is
-    accepted and ignored, for callers written against that pool.
+    deterministic so the argmax is reproducible.  Candidates run serially;
+    ``workers`` is ignored, kept for callers of the former thread pool.
     """
     revs = []
     for i in range(profile.n):

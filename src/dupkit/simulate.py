@@ -97,13 +97,12 @@ def uniforms(seed: int, bidder: int, lo: int, hi: int, out: np.ndarray | None = 
         out = np.empty(hi - lo)
     stream = _sm64_scalar(((seed & _MASK) * _SEED_MIX ^ (bidder + 1) * _BIDDER_MIX) & _MASK)
     z = out.view(np.uint64)
-    # stream + GOLDEN*(lo + i) mod 2^64, split as a scalar base plus GOLDEN*i
-    base = (stream + _GOLDEN * lo) & _MASK
-    if hi - lo <= _CHUNK:
-        np.add(_golden_steps()[: hi - lo], base, out=z)
-    else:
-        np.multiply(np.arange(hi - lo, dtype=np.uint64), _GOLDEN, out=z)
-        np.add(z, base, out=z)
+    # stream + GOLDEN*(lo + i) mod 2^64, split per block of _CHUNK counters
+    # as a scalar base plus GOLDEN*i from the table
+    steps = _golden_steps()
+    for start in range(lo, hi, _CHUNK):
+        block = z[start - lo : start - lo + _CHUNK]
+        np.add(steps[: block.shape[0]], (stream + _GOLDEN * start) & _MASK, out=block)
     _sm64(z, np.empty_like(z))
     np.right_shift(z, 11, out=z)
     # z < 2^53 converts to float64 exactly, and the scaling is a power of two
