@@ -178,7 +178,10 @@ def _cmd_examples(args) -> int:
         payload = dataclasses.asdict(rep)
         payload["single_duplicate_gap"] = rep.exante_opt / rep.spa_dup_bidder2
     elif args.which == "n3":
-        opt, est = example_n3(args.samples or 1_000_000, args.seed or 7)
+        opt, est = example_n3(
+            1_000_000 if args.samples is None else args.samples,
+            7 if args.seed is None else args.seed,
+        )
         upper = est.mean + 4.0 * est.stderr
         payload = {
             "exante_opt": opt,
@@ -241,21 +244,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=False):
-        if config_required:
+    def common(p, *flags):
+        """Add --out, --format and each named flag; a named --config is required."""
+        if "config" in flags:
             p.add_argument("--config", required=True, help="path to a JSON experiment config")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        for flag in ("seed", "samples", "workers"):
+            if flag in flags:
+                p.add_argument(f"--{flag}", type=int, default=None)
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default=None)
 
-    common(sub.add_parser("exante", help="solve the ex ante relaxation"), True)
-    common(sub.add_parser("simulate", help="run the configured experiment"), True)
+    common(sub.add_parser("exante", help="solve the ex ante relaxation"), "config")
+    common(sub.add_parser("simulate", help="run the configured experiment"),
+           "config", "seed", "samples", "workers")
 
     p = sub.add_parser("select", help="pick whom to duplicate")
     p.add_argument("--rule", required=True, choices=("beta", "noisy", "sample", "kset"))
-    common(p, True)
+    common(p, "config", "seed")
 
     p = sub.add_parser("bounds", help="evaluate a closed-form guarantee")
     p.add_argument(
@@ -267,11 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("examples", help="reproduce a worked example")
-    p.add_argument("which", choices=("lbhr", "n3", "two-triangles"))
+    which = p.add_subparsers(dest="which", required=True)
+    common(which.add_parser("lbhr"))
+    common(which.add_parser("n3"), "seed", "samples")
+    p = which.add_parser("two-triangles")
     p.add_argument("--grid-steps", type=int, default=1000)
     common(p)
 
-    common(sub.add_parser("classify", help="which structural case an instance satisfies"), True)
+    common(sub.add_parser("classify", help="which structural case an instance satisfies"),
+           "config")
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
     p.add_argument("--seed", type=int, default=0)

@@ -79,10 +79,16 @@ def _object(raw: dict, field: str) -> dict:
 
 
 def _int(val, field: str) -> int:
-    try:
-        return int(val)
-    except (TypeError, ValueError, OverflowError):
+    """A JSON integer; floats and booleans are refused, not truncated."""
+    if not isinstance(val, int) or isinstance(val, bool):
         _fail(field, f"must be an integer, got {val!r}")
+    return val
+
+
+def _bool(val, field: str) -> bool:
+    if not isinstance(val, bool):
+        _fail(field, f"must be true or false, got {val!r}")
+    return val
 
 
 def _curve_from_spec(spec, pos: int, name: str) -> cv.RevenueCurve:
@@ -158,7 +164,7 @@ def parse_config(text: str) -> ExperimentConfig:
             index=_int(p.get("index", 0), "plan.index"),
             copies=_int(p.get("copies", 1), "plan.copies"),
             indices=tuple(_int(j, "plan.indices") for j in indices),
-            pair_constrained=bool(p.get("pair_constrained", False)),
+            pair_constrained=_bool(p.get("pair_constrained", False), "plan.pair_constrained"),
         )
 
     constants = dict(_object(raw, "constants"))

@@ -122,13 +122,14 @@ def _phi_of_bid(curve: cv.RevenueCurve, bid: float) -> float:
     """Virtual value of a bid: curve slope on the bid's quantile interval.
 
     A bid carrying an atom occupies [q_lo, q_hi] with constant slope inside;
-    bids below the support floor can never win.  The two inverses are probed
-    a relative epsilon apart so a bid equal to an atom's value up to float
-    rounding still lands inside the atom rather than on the kink itself.
+    bids below the support floor can never win.  The floor test and the two
+    inverses are probed a relative epsilon apart so a bid equal to an atom's
+    value up to float rounding still lands inside the atom rather than on
+    the kink itself or below the floor.
     """
-    if bid < cv.value(curve, 1.0):
-        return -math.inf
     pad = 1e-9 * max(1.0, bid)
+    if bid + pad < cv.value(curve, 1.0):
+        return -math.inf
     q_hi = cv.quantile_of_value(curve, max(bid - pad, 0.0))
     q_lo = cv.quantile_lower_of_value(curve, bid + pad)
     if q_hi > q_lo:

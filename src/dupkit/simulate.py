@@ -14,6 +14,7 @@ t = u/(1-u), which compresses the heavy 1/t^2 tails of unbounded curves onto
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -192,41 +193,67 @@ class _Chunk:
     hi: int
 
 
-def _top(rows, r: int) -> list:
-    """[largest, ..., r-th largest] of each column, over r <= len(rows) rows.
+def _top(entries, r: int, carry: int = 0):
+    """Stable running top-r of (row, payload) entries, column by column.
 
-    A running top-r list updated row by row with compare-exchanges
-    (np.maximum/np.minimum into reused buffers).  It only moves elements, so
-    entry j is bit for bit ``np.partition(v, n-1-j, axis=0)[n-1-j]``.
+    Returns (top, pay): top[s] is the (s+1)-th largest row value of each
+    column, bit for bit ``np.partition(v, n-1-s, axis=0)[n-1-s]``, as values
+    only move by np.maximum/np.minimum compare-exchanges.  For s < carry,
+    pay[s] is the payload (a number or a row) of the entry that
+    ``np.argsort(-v, axis=0, kind="stable")[s]`` names: an entry passes slot
+    s exactly where it is > top[s], so ties keep the earlier entry ahead,
+    and from there on it and each entry it displaces move down one slot.
+    Payloads are float64 and move by an xor swap of their bits, exact and
+    branch-free where a masked copy pays a branch per element.  Slots left
+    empty by fewer than r entries read -inf, with payload -1.  An entry is
+    read in full before the next is drawn, so entries may share one buffer.
     """
-    top = []  # top[j]: the (j+1)-th largest of the rows so far
-    spare = []  # buffers free for reuse
-    for x in rows:
-        carried = False  # x is a value pushed down from a slot, held in our buffer
-        for j, t in enumerate(top):
-            if j == r - 1:  # the last slot keeps the larger and drops the rest
+    entries = iter(entries)
+    first = next(entries)
+    width = first[0].shape[0]
+    top, pay = np.empty((r, width)), np.empty((carry, width))
+    bufs = (np.empty(width), np.empty(width))  # the moving value and scratch, by turns
+    held = np.empty(width)  # the payload moving with it
+    pay_bits, held_bits = pay.view(np.uint64), held.view(np.uint64)
+    passes = np.empty(width, dtype=bool)
+    filled = 0
+    for row, p in itertools.chain([first], entries):
+        if carry:
+            np.copyto(held, p)
+        x = row  # the value moving down: the entry's, then each one it displaces
+        for s in range(min(filled, r)):
+            # free takes the value t pushes down: scratch (x is row or the
+            # other buffer), or the empty slot it is about to open
+            t, free = top[s], (top[filled] if s + 1 == filled < r else bufs[s % 2])
+            if s < carry:
+                # free holds the xor of the two payloads' bits where the
+                # entry passes slot s, else 0
+                diff = np.bitwise_xor(pay_bits[s], held_bits, out=free.view(np.uint64))
+                np.multiply(diff, np.greater(row, t, out=passes), out=diff)
+                np.bitwise_xor(pay_bits[s], diff, out=pay_bits[s])
+                np.bitwise_xor(held_bits, diff, out=held_bits)
+            if s == r - 1:  # the last slot keeps the larger and drops the rest
                 np.maximum(t, x, out=t)
                 break
-            hi = spare.pop() if spare else np.empty_like(t)
-            np.maximum(t, x, out=hi)
-            lo = x if carried else (spare.pop() if spare else np.empty_like(t))
-            np.minimum(t, x, out=lo)
-            top[j] = hi
-            spare.append(t)
-            x, carried = lo, True
-        else:  # fewer than r slots so far: the pushed-down value opens one
-            top.append(x if carried else x.copy())
-            continue
-        if carried:
-            spare.append(x)
-    return top
+            np.minimum(t, x, out=free)
+            np.maximum(t, x, out=t)
+            x = free
+        else:  # fewer than r slots so far: the moving value opens one
+            if not filled:
+                top[0] = row
+            if filled < carry:
+                pay[filled] = held
+            filled += 1
+    top[filled:] = -np.inf
+    pay[filled:] = -1.0
+    return top, pay
 
 
 def _top_two(v: np.ndarray):
     """(highest, second highest) of each column; a lone row's second is 0."""
     if v.shape[0] < 2:
         return v[0], np.zeros(v.shape[1])
-    return _top(v, 2)
+    return _top(((x, None) for x in v), 2)[0]
 
 
 def _first_argmax(v: np.ndarray, best: np.ndarray) -> np.ndarray:
@@ -254,7 +281,7 @@ def _rev_vcg_k(curves, constraint, ch, params):
     n, m = ch.v.shape
     if n <= k:
         return np.zeros(m)
-    return k * _top(ch.v, k + 1)[k]
+    return k * _top(((x, None) for x in ch.v), k + 1)[0][k]
 
 
 def _rev_vcg_constrained(curves, constraint, ch, params):
@@ -272,83 +299,42 @@ def _rev_vcg_constrained(curves, constraint, ch, params):
             if j >= 0:
                 np.minimum(v[i], v[j], out=row)
         return rival.sum(axis=0)
-    # A running top-(k+1) in stable descending order, as in _top, whose
-    # first k slots carry their entries' rivals in win_rival.  A new entry
-    # x passes slot s exactly where x > top[s] (ties keep the earlier entry
-    # ahead); the slots are sorted, so from there on it and every entry it
-    # displaces move down one slot.  Slot k keeps only its value.  Rivals
-    # move by an xor swap of their bits, which is exact and branch-free
-    # where a masked copy pays a branch per element.
-    top = np.empty((k + 1, width))
-    filled = 0
-    win_rival = np.empty((k, width))
-    pooled, moving, spare = np.empty(width), np.empty(width), np.empty(width)
-    rival = np.empty(width)  # the rival moving down with `moving`
-    slot_bits, rival_bits = win_rival.view(np.uint64), rival.view(np.uint64)
-    passes = np.empty(width, dtype=bool)
-    for i, j in entries:
-        if j < 0:
-            x = v[i]
-            rival.fill(0.0)
-        else:
-            x = np.maximum(v[i], v[j], out=pooled)
-            np.minimum(v[i], v[j], out=rival)
-        np.copyto(moving, x)
-        for s in range(min(filled, k)):
-            t = top[s]
-            np.greater(x, t, out=passes)
-            # spare is free until the compare-exchange below: it holds the
-            # xor of the two rivals' bits where the entry passes, else 0
-            diff = np.bitwise_xor(slot_bits[s], rival_bits, out=spare.view(np.uint64))
-            np.multiply(diff, passes, out=diff)
-            np.bitwise_xor(slot_bits[s], diff, out=slot_bits[s])
-            np.bitwise_xor(rival_bits, diff, out=rival_bits)
-            np.minimum(t, moving, out=spare)
-            np.maximum(t, moving, out=t)
-            moving, spare = spare, moving
-        if filled == k + 1:
-            np.maximum(top[k], moving, out=top[k])
-        else:  # fewer than k+1 slots so far: the moving entry opens one
-            top[filled] = moving
-            if filled < k:
-                win_rival[filled] = rival
-            filled += 1
+    # The top k pool entries win, in the stable argsort's order; summing
+    # their payments in that order keeps the bits of a sorted pool's sum.
+    pooled, rival = np.empty(width), np.empty(width)
+
+    def pool():
+        for i, j in entries:
+            if j < 0:
+                yield v[i], 0.0
+            else:
+                yield np.maximum(v[i], v[j], out=pooled), np.minimum(v[i], v[j], out=rival)
+
+    top, win_rival = _top(pool(), k + 1, carry=k)
     np.maximum(win_rival, top[k], out=win_rival)
     return win_rival.sum(axis=0)
 
 
+def _rivals(phis):
+    """(best, winner, strict, weak) of (virtual value row, bidder index) entries.
+
+    The winner is the first bidder with the highest virtual value, so it
+    must beat earlier bidders strictly and later ones weakly.  Only the
+    runner-up binds, the first bidder with the highest of the other values:
+    its value is the strict bar if it comes before the winner, else the
+    weak one, and the other bar is -inf.
+    """
+    (best, second), (win, runner) = _top(phis, 2, carry=2)
+    before = runner < win
+    return best, win, np.where(before, second, -np.inf), np.where(before, -np.inf, second)
+
+
 def _rev_myerson(curves, constraint, ch, params):
-    n, m = ch.v.shape
+    m = ch.v.shape[1]
     phi = np.empty(m)
-    best = _phi(curves[0].table, ch.seg[0], np.empty(m))
-    for i in range(1, n):
-        np.maximum(best, _phi(curves[i].table, ch.seg[i], phi), out=best)
-    # The winner is the first bidder whose virtual value equals `best`: the
-    # running maximum through bidder i is below `best` exactly when i comes
-    # before the winner, and already equals it exactly when i comes after.
-    # copysign(inf, running - best) is -inf before the winner and +inf from
-    # it on, so min(phi, +-inf) picks out either side with no masked copy.
-    win = np.zeros(m, dtype=np.intp)
-    strict = np.full(m, -np.inf)  # largest virtual value before the winner
-    weak = np.full(m, -np.inf)  # largest virtual value after the winner
-    running = np.full(m, -np.inf)
-    gap = np.empty(m)
-    side = np.empty(m)
-    before = np.empty(m, dtype=bool)
-    for i, c in enumerate(curves):
-        _phi(c.table, ch.seg[i], phi)
-        if i > 0:
-            np.copysign(np.inf, gap, out=side)
-            np.minimum(phi, side, out=side)
-            np.maximum(weak, side, out=weak)
-        np.maximum(running, phi, out=running)
-        np.subtract(running, best, out=gap)
-        np.less(gap, 0.0, out=before)
-        win += before
-        np.copysign(np.inf, gap, out=side)
-        np.negative(side, out=side)
-        np.minimum(phi, side, out=side)
-        np.maximum(strict, side, out=strict)
+    best, win, strict, weak = _rivals(
+        (_phi(c.table, ch.seg[i], phi), i) for i, c in enumerate(curves)
+    )
     # an unbounded tail's virtual value is -scale < 0, so it never wins
     sold = best >= 0.0
     out = np.zeros(m)
@@ -495,6 +481,15 @@ def _block_means(rev: np.ndarray, blocks: int) -> np.ndarray:
     return means
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a 1-d array without NaNs, bit for bit: its partition and
+    its mean of the middle one or two elements, less its NaN check, which
+    imports numpy.ma on its first call (about 13 ms)."""
+    n = a.shape[0]
+    kth = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
+    return float(np.partition(a, [*kth, -1])[kth[0] : n // 2 + 1].mean())
+
+
 def _summarize(rev: np.ndarray, seed: int, estimator: str) -> Estimate:
     n = rev.shape[0]
     if estimator == PLAIN:
@@ -504,7 +499,7 @@ def _summarize(rev: np.ndarray, seed: int, estimator: str) -> Estimate:
     if estimator == MEDIAN_OF_MEANS:
         blocks = math.isqrt(n - 1) + 1 if n > 1 else 1
         means = _block_means(rev, blocks)
-        mean = float(np.median(means))
+        mean = _median(means)
         stderr = float(means.std(ddof=1) / math.sqrt(blocks)) if blocks > 1 else 0.0
         return Estimate(mean, stderr, n, seed, MEDIAN_OF_MEANS, blocks)
     raise DomainError(f"unknown estimator {estimator!r}")

@@ -7,6 +7,7 @@ import pytest
 
 from dupkit import config as cfg
 from dupkit.cli import main
+from dupkit.examples import example_n3
 from dupkit.errors import ConcavityViolation, HypothesisViolated, ParseError
 from dupkit.mechanisms import NO_CONSTRAINT
 from dupkit.simulate import estimate_revenue
@@ -243,10 +244,17 @@ def test_cli_simulate_bad_k_is_usage_error(tmp_path, mechanism, k):
         ("exante", {"checks": 5}, "'checks'"),
         ("exante", {"constants": {"alpha": "x"}, "checks": ["single"]}, "'constants.alpha'"),
         ("exante", {"profile": {**BASE["profile"], "names": 5}}, "'profile.names'"),
+        ("simulate", {"plan": {"mode": "single_of", "index": 1.7}}, "'plan.index'"),
+        ("exante", {"constants": {"k": 1.5}}, "'constants.k'"),
+        ("simulate", {"sampling": {"n_samples": True}}, "'sampling.n_samples'"),
+        ("simulate", {"plan": {"mode": "all_once", "pair_constrained": "false"}},
+         "'plan.pair_constrained'"),
+        ("simulate", {"sampling": {"n_samples": 1e300}}, "'sampling.n_samples'"),
     ],
     ids=["inf-piecewise", "inf-triangle", "nan-point-mass", "inf-equal-revenue", "plan-string",
          "plan-index", "n-samples", "estimator", "posted-no-prices", "posted-short-prices",
-         "checks-not-list", "constant-not-number", "names-not-list"],
+         "checks-not-list", "constant-not-number", "names-not-list", "plan-index-float",
+         "k-float", "n-samples-bool", "pair-constrained-string", "n-samples-huge-float"],
 )
 def test_cli_bad_input_is_usage_error(tmp_path, command, change, field):
     path = write_config(tmp_path, {**BASE, **change})
@@ -258,6 +266,39 @@ def test_cli_bad_input_is_usage_error(tmp_path, command, change, field):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert field in json.loads(proc.stderr)["detail"]
+
+
+# Each subcommand's arguments without the flag; argparse rejects the flag
+# before any config is read.
+_ARGV = {
+    "exante": ["exante", "--config", "c.json"],
+    "classify": ["classify", "--config", "c.json"],
+    "select": ["select", "--config", "c.json", "--rule", "beta"],
+    "examples": ["examples", "two-triangles"],
+    "examples-lbhr": ["examples", "lbhr"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(cmd, flag) for cmd in ("exante", "classify") for flag in ("--seed", "--samples", "--workers")]
+    + [("select", "--samples"), ("select", "--workers"), ("examples", "--workers"),
+       ("examples", "--seed"), ("examples", "--samples"), ("examples-lbhr", "--grid-steps")],
+)
+def test_cli_rejects_flags_nothing_reads(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*_ARGV[command], flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_examples_n3_reads_seed_zero_and_samples_zero(capsys):
+    assert main(["examples", "n3", "--seed", "0", "--samples", "2000"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    _, est = example_n3(2000, 0)
+    assert (payload["spa_six_bidder_mean"], payload["stderr"]) == (est.mean, est.stderr)
+    assert main(["examples", "n3", "--seed", "0", "--samples", "0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
 
 
 def test_cli_csv_format(tmp_path, capsys):

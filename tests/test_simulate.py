@@ -28,8 +28,11 @@ from dupkit.simulate import (
     _block_means,
     _Chunk,
     _first_argmax,
+    _median,
     _rev_vcg_constrained,
+    _rivals,
     _top,
+    _win_region_edge,
     estimate_revenue,
     expected_order_stat,
     mechanism_names,
@@ -89,13 +92,23 @@ def _scalar_revenues(profile, constraint, mechanism, n, seed, **params):
     return np.array(out)
 
 
-@pytest.mark.parametrize("mechanism", ["spa", "vcg", "vcg_constrained", "myerson",
-                                       "lookahead", "spald", "posted"])
-def test_kernels_match_scalar_mechanisms(mechanism):
+# Each case is a mechanism on random profiles, or on one fixed profile.  On
+# "myerson-point-mass-floor" many point-mass draws read one ulp under the
+# atom's value, which is also the curve's support floor.
+_KERNEL_CASES = {
+    **{m: (m, None) for m in ["spa", "vcg", "vcg_constrained", "myerson",
+                              "lookahead", "spald", "posted"]},
+    "myerson-point-mass-floor": (
+        "myerson", cv.make_profile([cv.make_point_mass(0.7), cv.make_triangle(0.5, 0.2)])),
+}
+
+
+@pytest.mark.parametrize("mechanism, fixed", list(_KERNEL_CASES.values()), ids=list(_KERNEL_CASES))
+def test_kernels_match_scalar_mechanisms(mechanism, fixed):
     rng = random.Random(sum(mechanism.encode()))
     for trial in range(4):
-        n = rng.randint(2, 5)
-        prof = random_profile(n, rng)
+        prof = fixed or random_profile(rng.randint(2, 5), rng)
+        n = prof.n
         pairs = ((0, 1),) if n >= 2 and mechanism == "vcg_constrained" else ()
         constraint = PairConstraint(pairs)
         params = {}
@@ -193,14 +206,48 @@ def test_order_statistics_match_numpy(columns):
     v = np.array(columns).T  # (n bidders, m draws)
     before = v.copy()
     n = v.shape[0]
-    for r in range(1, n + 1):
-        top = _top(v, r)
-        assert len(top) == r
-        for j, row in enumerate(top):
-            want = np.partition(v, n - 1 - j, axis=0)[n - 1 - j]
-            assert np.array_equal(row, want)
+    order = np.argsort(-v, axis=0, kind="stable")
+    empty = np.full(v.shape[1], -np.inf)
+    for r in range(1, n + 2):  # r = n + 1 leaves one slot empty
+        for carry in range(r + 1):
+            top, pay = _top(((x, i) for i, x in enumerate(v)), r, carry)
+            assert len(top) == r and len(pay) == carry
+            for j, row in enumerate(top):
+                want = np.partition(v, n - 1 - j, axis=0)[n - 1 - j] if j < n else empty
+                assert np.array_equal(row, want)
+            for j, row in enumerate(pay):
+                assert np.array_equal(row, order[j] if j < n else np.full_like(row, -1.0))
     assert np.array_equal(_first_argmax(v, v.max(axis=0)), np.argmax(v, axis=0))
     assert np.array_equal(v, before)
+
+
+# Slopes 2, 1, 0.5 and -0.5: a virtual value equal to one of them is where
+# a strict and a weak rival bar give different edges.
+_EDGE_CURVE = cv.make_piecewise([(0.0, 0.0), (0.2, 0.4), (0.4, 0.6), (0.6, 0.7), (1.0, 0.5)])
+virtual_value_columns = st.integers(1, 9).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.0, -0.0, -0.5, 1.5]), min_size=n, max_size=n),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@given(virtual_value_columns)
+def test_myerson_runner_up_matches_masked_rivals(columns):
+    phi = np.array(columns).T  # (n bidders, m draws)
+    before = phi.copy()
+    rank = np.arange(phi.shape[0])[:, None]
+    win = np.argmax(phi, axis=0)
+    strict = np.where(rank < win, phi, -np.inf).max(axis=0)
+    weak = np.where(rank > win, phi, -np.inf).max(axis=0)
+    got_best, got_win, got_strict, got_weak = _rivals((x, i) for i, x in enumerate(phi))
+    assert np.array_equal(got_best, phi.max(axis=0))
+    assert np.array_equal(got_win, win)
+    t = _EDGE_CURVE.table
+    got = _win_region_edge(t, got_strict, got_weak)
+    assert got.tobytes() == _win_region_edge(t, strict, weak).tobytes()
+    assert np.array_equal(phi, before)
 
 
 def _vcg_constrained_by_argsort(v, constraint, k):
@@ -399,3 +446,12 @@ def test_block_means_match_array_split_large():
     rev = np.random.default_rng(3).pareto(1.5, 1_000_007)
     blocks = math.isqrt(rev.shape[0] - 1) + 1
     assert _block_means(rev, blocks).tobytes() == _block_means_by_split(rev, blocks).tobytes()
+
+
+@given(st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0]), min_size=1,
+                max_size=60))
+def test_median_matches_numpy(values):
+    a = np.array(values)
+    before = a.copy()
+    assert struct.pack("<d", _median(a)) == struct.pack("<d", float(np.median(a)))
+    assert a.tobytes() == before.tobytes()
