@@ -4,6 +4,8 @@ Exit codes separate "the math said no" from "the invocation was wrong":
 0 success / all checks passed, 1 a checked bound or certified claim failed,
 2 config or usage error.  Every numeric result is reproducible from the
 invocation alone (config text + seed), so reports embed the config hash.
+JSON output never holds NaN or infinity: a result that is not finite exits
+2 with a NonFiniteResult error naming its field.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import random
 import sys
 
@@ -29,6 +32,7 @@ from .errors import (
     HypothesisViolated,
     LemmaViolation,
     NonConvergence,
+    NonFiniteResult,
     ParseError,
     ProfileMismatch,
     UnboundedExpectation,
@@ -43,6 +47,7 @@ _USAGE_ERRORS = (
     HypothesisViolated,
     ConcavityViolation,
     ProfileMismatch,
+    NonFiniteResult,
     IndexError,
     OSError,
 )
@@ -66,12 +71,31 @@ def _jsonable(obj):
     return obj
 
 
+def _nonfinite_field(obj, path: str = ""):
+    """Dotted path of the first non-finite number in a JSON-ready payload, or None."""
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in obj.items())
+    elif isinstance(obj, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return path if isinstance(obj, float) and not math.isfinite(obj) else None
+    for sub, val in items:
+        found = _nonfinite_field(val, sub)
+        if found is not None:
+            return found
+    return None
+
+
 def _emit(payload: dict, out_path, out_format: str) -> None:
     payload = _jsonable(payload)
     if out_format == "csv":
         text = cfg.report_to_csv(payload)
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:
+            field = _nonfinite_field(payload)
+            raise NonFiniteResult(f"report field {field!r} is not a finite number") from None
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -82,6 +106,13 @@ def _emit(payload: dict, out_path, out_format: str) -> None:
 def _load_config(path: str) -> cfg.ExperimentConfig:
     with open(path) as fh:
         return cfg.parse_config(fh.read())
+
+
+def _samples_flag(args):
+    """--samples, refused above cfg.MAX_SAMPLES before anything is drawn."""
+    if args.samples is not None and args.samples > cfg.MAX_SAMPLES:
+        raise ParseError(f"--samples must be at most {cfg.MAX_SAMPLES}, got {args.samples}")
+    return args.samples
 
 
 def _need(constants: dict, key: str) -> float:
@@ -112,7 +143,7 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    if args.samples is not None:
+    if _samples_flag(args) is not None:
         config = dataclasses.replace(config, n_samples=args.samples)
     report, code = cfg.run_experiment(config, workers=args.workers or 0)
     _emit(report, args.out or config.output_path, args.format or config.output_format)
@@ -179,7 +210,7 @@ def _cmd_examples(args) -> int:
         payload["single_duplicate_gap"] = rep.exante_opt / rep.spa_dup_bidder2
     elif args.which == "n3":
         opt, est = example_n3(
-            1_000_000 if args.samples is None else args.samples,
+            1_000_000 if _samples_flag(args) is None else args.samples,
             7 if args.seed is None else args.seed,
         )
         upper = est.mean + 4.0 * est.stderr
@@ -300,15 +331,20 @@ _HANDLERS = {
 }
 
 
+def _report_error(exc: Exception) -> None:
+    print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}, allow_nan=False),
+          file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except _CHECK_FAILURES as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
+        _report_error(exc)
         return 1
     except _USAGE_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
+        _report_error(exc)
         return 2
 
 

@@ -29,8 +29,12 @@ import hashlib
 import json
 import math
 import numbers
+import os
+import platform
 from dataclasses import dataclass
 from time import perf_counter
+
+import numpy as np
 
 from . import analysis, curves as cv
 from .duplication import PLAN_MODES, DuplicatePlan, extend_profile
@@ -38,6 +42,10 @@ from .errors import ConcavityViolation, ParseError
 from .exante import solve_exante
 from .mechanisms import NO_CONSTRAINT
 from .simulate import ESTIMATORS, _default_estimator, _summarize, mechanism_names, sample_revenues
+
+# Largest draw count a config or --samples may ask for.  The revenue array
+# is held whole, 8 bytes a draw, so this many draws take 800 MB.
+MAX_SAMPLES = 100_000_000
 
 BOUND_FUNCS = {
     "single": lambda c: analysis.bound_single(c["alpha"], c["beta"]),
@@ -189,8 +197,8 @@ def parse_config(text: str) -> ExperimentConfig:
     n_samples = _int(sampling.get("n_samples", 100_000), "sampling.n_samples")
     seed = _int(sampling.get("seed", 0), "sampling.seed")
     estimator = sampling.get("estimator", "")
-    if n_samples < 1:
-        _fail("sampling.n_samples", "must be >= 1")
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        _fail("sampling.n_samples", f"must be in [1, {MAX_SAMPLES}], got {n_samples}")
     if estimator not in ("", *ESTIMATORS):
         _fail("sampling.estimator", f"must be one of {list(ESTIMATORS)} or absent")
 
@@ -235,8 +243,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 0):
 
     Returns (report dict, exit_code): 0 when every check passes, 1 otherwise.
     A check passes when estimate >= ratio * exante_opt - 4 * stderr.  The
-    report's "timings" (seconds per stage) and "samples_per_s" are the only
-    fields that are not reproducible from the config and seed.
+    report's "timings" (seconds per stage), "samples_per_s" and "env" (the
+    numpy and Python versions, the worker count and os.cpu_count()) are the
+    only fields that are not reproducible from the config and seed.
     """
     k = int(config.constants.get("k", 1))
     base = config.profile
@@ -283,12 +292,19 @@ def run_experiment(config: ExperimentConfig, workers: int = 0):
         "checks": check_rows,
         "timings": {"exante_s": t1 - t0, "sampling_s": t3 - t2, "summary_s": t4 - t3},
         "samples_per_s": config.n_samples / (t3 - t2),
+        "env": {
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "workers": workers,
+            "cpu_count": os.cpu_count(),
+        },
     }
     return report, (0 if all_pass else 1)
 
 
 def report_to_csv(report: dict) -> str:
-    """Flat key,value rows; checks expand to one row per bound."""
+    """Flat key,value rows: nested objects such as "timings" and "env" give
+    dotted keys, and checks expand to one row per bound."""
     lines = ["key,value"]
 
     def emit(prefix: str, obj):

@@ -72,6 +72,8 @@ class CurveTable:
         # a sampling chunk keeps every bidder's segment index alive, so it
         # takes the narrowest type (uint8 for up to 255 interior cuts)
         self.seg_dtype = np.min_scalar_type(len(self.cuts))
+        # the bits every sampled value depends on, as a row store key
+        self.key = np.array([curve.scale, *qs, *rs]).tobytes()
 
 
 @dataclass(frozen=True)

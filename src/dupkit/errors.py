@@ -39,3 +39,7 @@ class DominanceViolation(DupkitError, ValueError):
 
 class ParseError(DupkitError, ValueError):
     """Config text is malformed; message names the offending field."""
+
+
+class NonFiniteResult(DupkitError, ValueError):
+    """A result bound for JSON output is not finite; message names its field."""

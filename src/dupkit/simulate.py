@@ -6,6 +6,33 @@ worker and estimates are bit-identical for every worker count.  It also
 couples comparisons pathwise: the same bidder index sees the same values in
 two environments run with the same seed.
 
+Sampling runs in chunks that start at multiples of _CHUNK = 2^14 draws; a
+remainder shorter than half a chunk joins the chunk before it.  Per chunk,
+each bidder's row is its uniforms, then their values (and segment indices)
+under its curve, and a mechanism kernel reduces the rows column by column.
+A row is a pure function of (seed, bidder index, curve, chunk), so callers
+that score many environments at one seed would redraw identical rows.
+Rows therefore go through _ROWS, one process-wide store:
+
+* value rows with their segment indices are keyed by (seed, index, curve
+  bits, chunk start), and uniform rows by (seed, index, chunk start), so a
+  clone slot under a new curve skips the hash;
+* a stored row serves any request for a prefix of it;
+* a key is stored on its second request, so a one-pass call stores
+  nothing, and a stored value row's uniforms are looked up, never stored;
+* a call whose value rows exceed the budget bypasses the store, since
+  stored they would evict one another before any reuse;
+* the store holds at most _ROW_BUDGET bytes and evicts the least recently
+  used row; stored arrays are read-only and a lock guards the store.
+
+Rows the store does not keep are computed into one scratch block per
+thread, which is reused across calls (_scratch).
+
+The store is exact: a key covers every input of its row, so a stored row
+holds the bits the same request would compute, and since every kernel
+reduces each draw's column on its own, neither the chunk size nor a store
+hit changes any result.
+
 Quadrature integrates Pr[at least r bids >= t] over t via the substitution
 t = u/(1-u), which compresses the heavy 1/t^2 tails of unbounded curves onto
 [0,1]; the integrand at each node is an exact Poisson-binomial tail.
@@ -17,6 +44,8 @@ import functools
 import itertools
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,7 +75,14 @@ _SEED_MIX = 0xD1342543DE82EF95
 _BIDDER_MIX = 0x9E6C63D0876A9A63
 _MASK = (1 << 64) - 1
 
-_CHUNK = 1 << 16
+# Draws per chunk: sample_revenues fills and reduces one chunk of every
+# bidder's row at a time, and the row store below keys rows by chunk start.
+_CHUNK = 1 << 14
+# Bytes the row store may hold, and how many once-requested keys it remembers.
+_ROW_BUDGET = 6 << 20
+_SEEN_KEYS = 1 << 12
+# Largest per-thread scratch block kept between sampling calls, in bytes.
+_SCRATCH_KEEP = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -85,14 +121,16 @@ def _golden_steps() -> np.ndarray:
     return steps
 
 
-def uniforms(seed: int, bidder: int, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+def uniforms(seed: int, bidder: int, lo: int, hi: int, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
     """U[0,1) draws for one bidder substream over sample counters [lo, hi).
 
     Draw t is (SplitMix64(stream + GOLDEN * t) >> 11) * 2^-53, where stream
     is SplitMix64 of the seed and bidder.  The mix runs in place in the
     float64 result's memory, viewed as uint64, with one uint64 scratch
     buffer; ``out``, a contiguous float64 array of length hi - lo, receives
-    the draws when given.
+    the draws when given, and ``scratch``, a contiguous uint64 array of
+    length hi - lo, serves as that buffer when given.
     """
     if out is None:
         out = np.empty(hi - lo)
@@ -104,7 +142,7 @@ def uniforms(seed: int, bidder: int, lo: int, hi: int, out: np.ndarray | None = 
     for start in range(lo, hi, _CHUNK):
         block = z[start - lo : start - lo + _CHUNK]
         np.add(steps[: block.shape[0]], (stream + _GOLDEN * start) & _MASK, out=block)
-    _sm64(z, np.empty_like(z))
+    _sm64(z, np.empty_like(z) if scratch is None else scratch)
     np.right_shift(z, 11, out=z)
     # z < 2^53 converts to float64 exactly, and the scaling is a power of two
     np.copyto(out, z)
@@ -126,13 +164,14 @@ def _segments(t: cv.CurveTable, q: np.ndarray) -> np.ndarray | None:
     return j
 
 
-def _values(curve: cv.RevenueCurve, q: np.ndarray, seg, out: np.ndarray) -> np.ndarray:
+def _values(curve: cv.RevenueCurve, q: np.ndarray, seg, out: np.ndarray,
+            gathered: np.ndarray | None = None) -> np.ndarray:
     """Values at quantiles q >= EPS_MIN whose segments are seg = _segments(table, q).
 
     That is (rs[j] + slopes[j]*(q - qs[j])) / q for j = seg, or scale*(1-q)/q
     on an unbounded tail, as in curves.value.  The expression keeps this
     order: Rev(q)/q is not folded into a per-segment value, which would
-    change the last bit.
+    change the last bit.  ``gathered``, a row like q, is scratch when given.
     """
     if curve.scale:
         np.subtract(1.0, q, out=out)
@@ -145,7 +184,7 @@ def _values(curve: cv.RevenueCurve, q: np.ndarray, seg, out: np.ndarray) -> np.n
         np.add(t.r_arr[0], out, out=out)
     else:
         # seg is in range; mode="clip" only skips take's buffered bounds check
-        gathered = np.empty_like(q)
+        gathered = np.empty_like(q) if gathered is None else gathered
         np.take(t.q_arr, seg, out=out, mode="clip")
         np.subtract(q, out, out=out)
         np.take(t.slope_arr, seg, out=gathered, mode="clip")
@@ -182,15 +221,139 @@ def _win_region_edge(t: cv.CurveTable, strict: np.ndarray, weak: np.ndarray) -> 
     return t.q_arr[j]
 
 
+class _RowStore:
+    """Least-recently-used store of sampled rows under a byte budget.
+
+    A key names the row of one chunk of one bidder substream, and its
+    entry is a tuple of arrays (or None) over counters [lo, lo + length).
+    A stored entry serves any request for a prefix of it.  A key is stored
+    on its second counted request, so a one-pass call stores nothing and
+    pays only the lookups.  Stored arrays are read-only.  The lock guards
+    the tables; rows are computed outside it, so two threads may both
+    compute a row, and the later entry replaces the earlier one.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._rows = OrderedDict()  # key -> (arrays, nbytes), oldest first
+        self._seen = OrderedDict()  # keys requested once and not stored, oldest first
+        self._lock = threading.Lock()
+
+    def lookup(self, key, m: int, count: bool = True):
+        """(arrays, admit): the entry under key cut to its first m counters,
+        or None and whether the caller should put the row it computes.
+
+        An uncounted request only looks: it neither stores nor counts.
+        """
+        with self._lock:
+            entry = self._rows.get(key)
+            if entry is not None and entry[0][0].shape[0] >= m:
+                self._rows.move_to_end(key)
+                return tuple(None if a is None else a[:m] for a in entry[0]), False
+            if not count:
+                return None, False
+            if entry is not None or self._seen.pop(key, False):
+                return None, True
+            self._seen[key] = True
+            if len(self._seen) > _SEEN_KEYS:
+                self._seen.popitem(last=False)
+            return None, False
+
+    def put(self, key, arrays: tuple) -> None:
+        """Store arrays, which the caller no longer writes, under key."""
+        nbytes = sum(a.nbytes for a in arrays if a is not None)
+        if nbytes > self.budget:
+            return
+        for a in arrays:
+            if a is not None:
+                a.flags.writeable = False
+        with self._lock:
+            old = self._rows.pop(key, None)
+            self.nbytes += nbytes - (old[1] if old else 0)
+            self._rows[key] = (arrays, nbytes)
+            while self.nbytes > self.budget:
+                self.nbytes -= self._rows.popitem(last=False)[1][1]
+
+
+class _NoStore:
+    """Stands in for the row store in calls too large to use it."""
+
+    @staticmethod
+    def lookup(key, m: int, count: bool = True):
+        return None, False
+
+
+_ROWS = _RowStore(_ROW_BUDGET)
+_SCRATCH = threading.local()
+
+
+def _scratch(rows: int, width: int) -> np.ndarray:
+    """A (rows, width) float64 block of this thread's scratch memory.
+
+    A block of up to _SCRATCH_KEEP bytes is kept and reused across calls,
+    since a fresh buffer pays page faults on its first writes.
+    """
+    size = rows * width
+    block = getattr(_SCRATCH, "block", None)
+    if block is None or block.size < size:
+        block = np.empty(size)
+        if block.nbytes <= _SCRATCH_KEEP:
+            _SCRATCH.block = block
+    return block[:size].reshape(rows, width)
+
+
+def _uniform_row(rows, seed: int, i: int, lo: int, hi: int, scratch: np.ndarray, count: bool):
+    """uniforms(seed, i, lo, hi) through the row store rows, keyed (seed, i,
+    lo); written into scratch[0] when the store does not keep it."""
+    key, m = (seed, i, lo), hi - lo
+    row, admit = rows.lookup(key, m, count)
+    if row is not None:
+        return row[0]
+    mix = scratch[1, :m].view(np.uint64)
+    if not admit:
+        return uniforms(seed, i, lo, hi, out=scratch[0, :m], scratch=mix)
+    u = uniforms(seed, i, lo, hi, scratch=mix)
+    rows.put(key, (u,))
+    return u
+
+
+def _value_row(rows, seed: int, i: int, curve: cv.RevenueCurve, lo: int, hi: int,
+               scratch, v) -> tuple:
+    """(values, _segments) of substream i under curve over counters [lo, hi).
+
+    The row store rows (_ROWS or _NoStore) keys them by (seed, i, curve,
+    lo), the curve by the bits of its breakpoints.  scratch is a (3, >= hi
+    - lo) block, for the quantiles, the uniforms' mix and the values'
+    gathers, and v a row the values go to unless the store keeps them.  A
+    value row the store keeps needs its uniforms no more, so its uniform
+    request is not counted: a stored uniform row serves clone slots, where
+    one substream meets many curves.
+    """
+    t, m = curve.table, hi - lo
+    key = (seed, i, t.key, lo)
+    row, admit = rows.lookup(key, m)
+    if row is not None:
+        return row
+    u = _uniform_row(rows, seed, i, lo, hi, scratch, not admit)
+    q = np.maximum(u, cv.EPS_MIN, out=scratch[0, :m])
+    seg = _segments(t, q)
+    row = _values(curve, q, seg, np.empty(m) if admit else v[:m], scratch[2, :m]), seg
+    if admit:
+        rows.put(key, row)
+    return row
+
+
 @dataclass(frozen=True)
 class _Chunk:
     """One chunk of draws: sample counters [lo, hi) of every bidder."""
 
-    v: np.ndarray  # (n, hi - lo) values at the quantiles q = max(u, EPS_MIN)
-    seg: list  # per bidder i: _segments(q[i]), shared by values and virtual values
+    v: tuple  # per bidder i: values at the quantiles q = max(u, EPS_MIN), read-only
+    seg: tuple  # per bidder i: _segments(q[i]), shared by values and virtual values
     seed: int
     lo: int
     hi: int
+    rows: object = _NoStore  # the row store the chunk's rows came through
 
 
 def _top(entries, r: int, carry: int = 0):
@@ -251,8 +414,8 @@ def _top(entries, r: int, carry: int = 0):
 
 def _top_two(v: np.ndarray):
     """(highest, second highest) of each column; a lone row's second is 0."""
-    if v.shape[0] < 2:
-        return v[0], np.zeros(v.shape[1])
+    if len(v) < 2:
+        return v[0], np.zeros(v[0].shape[0])
     return _top(((x, None) for x in v), 2)[0]
 
 
@@ -265,7 +428,7 @@ def _first_argmax(v: np.ndarray, best: np.ndarray) -> np.ndarray:
     idx = np.zeros(best.shape, dtype=np.intp)
     running = v[0].copy()
     below = np.empty(best.shape, dtype=bool)
-    for i in range(1, v.shape[0]):
+    for i in range(1, len(v)):
         np.less(running, best, out=below)
         idx += below
         np.maximum(running, v[i], out=running)
@@ -278,16 +441,15 @@ def _rev_spa(curves, constraint, ch, params):
 
 def _rev_vcg_k(curves, constraint, ch, params):
     k = params["k"]
-    n, m = ch.v.shape
-    if n <= k:
-        return np.zeros(m)
+    if len(ch.v) <= k:
+        return np.zeros(ch.hi - ch.lo)
     return k * _top(((x, None) for x in ch.v), k + 1)[0][k]
 
 
 def _rev_vcg_constrained(curves, constraint, ch, params):
     k = params["k"]
     v = ch.v
-    n, width = v.shape
+    n, width = len(v), ch.hi - ch.lo
     partner = constraint.partner(n)
     # Pool one entry per pair (its max; the min is the within-pair rival)
     # and one per unpaired bidder (rival 0).  Top-k pool entries win and
@@ -330,7 +492,7 @@ def _rivals(phis):
 
 
 def _rev_myerson(curves, constraint, ch, params):
-    m = ch.v.shape[1]
+    m = ch.hi - ch.lo
     phi = np.empty(m)
     best, win, strict, weak = _rivals(
         (_phi(c.table, ch.seg[i], phi), i) for i, c in enumerate(curves)
@@ -343,7 +505,7 @@ def _rev_myerson(curves, constraint, ch, params):
         if cols.size:
             q_pay = np.maximum(_win_region_edge(c.table, strict[cols], weak[cols]), cv.EPS_MIN)
             pay = _values(c, q_pay, _segments(c.table, q_pay), np.empty(cols.size))
-            out[cols] = np.minimum(pay, ch.v[i, cols])
+            out[cols] = np.minimum(pay, ch.v[i][cols])
     return out
 
 
@@ -360,19 +522,17 @@ def _rev_lookahead(curves, constraint, ch, params):
 
 def _rev_spald(curves, constraint, ch, params):
     v = ch.v
-    n, m = v.shape
+    n, m = len(v), ch.hi - ch.lo
     top_val, second = _top_two(v)
-    # The duplicate of bidder j draws substream n+j: the same uniform its
-    # clone would get under an every-bidder-once extension, which couples
-    # this mechanism under the duplicate SPA pathwise.
-    dup = np.empty((n, m))
-    q = np.empty(m)
+    win = _first_argmax(v, top_val)
+    # The duplicate of bidder j draws substream n+j: the same row its clone
+    # gets under an every-bidder-once extension, which couples this
+    # mechanism under the duplicate SPA pathwise, and reads it from the
+    # row store.  Each column takes the row of its top bidder.
+    scratch, buf, dup_val = np.empty((3, m)), np.empty(m), np.empty(m)
     for j, c in enumerate(curves):
-        uniforms(ch.seed, n + j, ch.lo, ch.hi, out=q)
-        np.maximum(q, cv.EPS_MIN, out=q)
-        _values(c, q, _segments(c.table, q), dup[j])
-    # flat index of (top bidder's row, column) in the contiguous dup block
-    dup_val = np.take(dup, _first_argmax(v, top_val) * m + np.arange(m))
+        row = _value_row(ch.rows, ch.seed, n + j, c, ch.lo, ch.hi, scratch, buf)[0]
+        np.copyto(dup_val, row, where=win == j)
     return np.minimum(np.maximum(second, dup_val), top_val)
 
 
@@ -381,7 +541,7 @@ def _rev_posted(curves, constraint, ch, params):
     # Bidders are offered their prices in index order and the first whose
     # value meets it buys; that bidder's index is n minus the number of
     # offers made once some bidder has met a price, and n means no sale.
-    n, m = ch.v.shape
+    n, m = len(ch.v), ch.hi - ch.lo
     meets = np.empty(m, dtype=bool)
     met = np.zeros(m, dtype=bool)
     offers_after = np.zeros(m, dtype=np.intp)
@@ -435,27 +595,29 @@ def sample_revenues(
     kernel = _MECHANISMS[mechanism]
     curves = profile.curves
     out = np.empty(n_samples)
+    # A call whose value rows would overflow the row store bypasses it:
+    # stored, they would evict one another before any reuse.
+    rows = _ROWS if profile.n * n_samples * 8 <= _ROWS.budget else _NoStore
 
     def fill(spans) -> None:
-        # one quantile row and one (n, chunk) block of values per caller,
-        # rewritten chunk by chunk
-        width = min(_CHUNK, n_samples)
-        q = np.empty(width)
-        v = np.empty((profile.n, width))
+        # one scratch block and one (n, chunk) block of values per caller,
+        # rewritten chunk by chunk where the row store does not serve a row
+        width = max(hi - lo for lo, hi in spans)
+        block = _scratch(3 + profile.n, width)
+        scratch, v = block[:3], block[3:]
         for lo, hi in spans:
-            m = hi - lo
-            seg = []
-            for i, c in enumerate(curves):
-                qi = uniforms(seed, i, lo, hi, out=q[:m])
-                np.maximum(qi, cv.EPS_MIN, out=qi)
-                seg.append(_segments(c.table, qi))
-                _values(c, qi, seg[i], v[i, :m])
-            out[lo:hi] = kernel(curves, constraint, _Chunk(v[:, :m], seg, seed, lo, hi), params)
+            vals, seg = zip(*(_value_row(rows, seed, i, c, lo, hi, scratch, v[i])
+                              for i, c in enumerate(curves)))
+            ch = _Chunk(vals, seg, seed, lo, hi, rows)
+            out[lo:hi] = kernel(curves, constraint, ch, params)
 
-    spans = [(lo, min(lo + _CHUNK, n_samples)) for lo in range(0, n_samples, _CHUNK)]
+    # Chunks start at multiples of _CHUNK, and a remainder shorter than half
+    # a chunk joins the chunk before it, so no call ends on a sliver.
+    starts = list(range(0, n_samples - _CHUNK // 2, _CHUNK)) or [0]
+    spans = list(zip(starts, [*starts[1:], n_samples]))
     if workers and workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, [spans[w::workers] for w in range(workers)]))
+            list(pool.map(fill, [spans[w::workers] for w in range(min(workers, len(spans)))]))
     else:
         fill(spans)
     return out

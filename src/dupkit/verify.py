@@ -417,14 +417,16 @@ def criterion_9(seed: int = 0, n_instances: int = 100, n_samples: int = 100_000)
     for i in range(n_instances):
         prof = cv.make_profile([random_triangle(rng) for _ in range(rng.randint(2, 5))])
         s = seed + 31 * i
-        ext = _all_dups(prof)
-        spa_d = sample_revenues(ext, NO_CONSTRAINT, "spa", n_samples, s)
+        # Every call draws prof's rows at seed s.  The two calls that read
+        # only those rows go first, so the row store holds them for the
+        # other two before the duplicates' rows pass through it.
+        la = sample_revenues(prof, NO_CONSTRAINT, "lookahead", n_samples, s)
+        my = sample_revenues(prof, NO_CONSTRAINT, "myerson", n_samples, s)
+        spa_d = sample_revenues(_all_dups(prof), NO_CONSTRAINT, "spa", n_samples, s)
         spald = sample_revenues(prof, NO_CONSTRAINT, "spald", n_samples, s)
         bad_pathwise += (spa_d - spald).min() < -1e-9
-        la = sample_revenues(prof, NO_CONSTRAINT, "lookahead", n_samples, s)
         d = spald - la
         bad_la += d.mean() < -4.0 * d.std(ddof=1) / math.sqrt(n_samples)
-        my = sample_revenues(prof, NO_CONSTRAINT, "myerson", n_samples, s)
         g = my - 2.0 * la
         bad_myerson += g.mean() > 4.0 * g.std(ddof=1) / math.sqrt(n_samples)
     ok = bad_pathwise == 0 and bad_la == 0 and bad_myerson == 0

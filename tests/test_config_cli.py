@@ -1,8 +1,11 @@
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dupkit import config as cfg
@@ -250,11 +253,13 @@ def test_cli_simulate_bad_k_is_usage_error(tmp_path, mechanism, k):
         ("simulate", {"plan": {"mode": "all_once", "pair_constrained": "false"}},
          "'plan.pair_constrained'"),
         ("simulate", {"sampling": {"n_samples": 1e300}}, "'sampling.n_samples'"),
+        ("simulate", {"sampling": {"n_samples": 10**30}}, "'sampling.n_samples'"),
     ],
     ids=["inf-piecewise", "inf-triangle", "nan-point-mass", "inf-equal-revenue", "plan-string",
          "plan-index", "n-samples", "estimator", "posted-no-prices", "posted-short-prices",
          "checks-not-list", "constant-not-number", "names-not-list", "plan-index-float",
-         "k-float", "n-samples-bool", "pair-constrained-string", "n-samples-huge-float"],
+         "k-float", "n-samples-bool", "pair-constrained-string", "n-samples-huge-float",
+         "n-samples-huge-int"],
 )
 def test_cli_bad_input_is_usage_error(tmp_path, command, change, field):
     path = write_config(tmp_path, {**BASE, **change})
@@ -290,6 +295,45 @@ def test_cli_rejects_flags_nothing_reads(capsys, command, flag):
         main([*_ARGV[command], flag, "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--config"], ["examples", "n3"]])
+def test_cli_samples_flag_above_maximum_is_parse_error(tmp_path, capsys, argv):
+    if argv[0] == "simulate":
+        argv = [*argv, write_config(tmp_path, BASE)]
+    assert main([*argv, "--samples", str(cfg.MAX_SAMPLES + 1)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError" and "--samples" in err["detail"]
+    assert cfg.parse_config(json.dumps({**BASE, "sampling": {"n_samples": cfg.MAX_SAMPLES}}))
+
+
+def test_cli_never_writes_nonfinite_json(tmp_path):
+    # a constant nothing gates, and curves whose values overflow to inf
+    huge = write_config(tmp_path, {"profile": {"curves": [{"equal_revenue": 1e308}] * 2},
+                                   "sampling": {"n_samples": 1000}})
+    for argv, field in (
+        (["bounds", "--which", "warmup", "--alpha", "nan"], "'constants.alpha'"),
+        (["simulate", "--config", huge], "'exante_opt'"),
+    ):
+        proc = subprocess.run([sys.executable, "-m", "dupkit.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        err = json.loads(proc.stderr.splitlines()[-1])
+        assert err["error"] == "NonFiniteResult" and field in err["detail"]
+
+
+def test_report_env_block(tmp_path, capsys):
+    path = write_config(tmp_path, BASE)
+    assert main(["simulate", "--config", path, "--workers", "2"]) == 0
+    env = json.loads(capsys.readouterr().out)["env"]
+    assert env["numpy"] == np.__version__
+    assert env["python"] == platform.python_version()
+    assert (env["workers"], env["cpu_count"]) == (2, os.cpu_count())
+    assert main(["simulate", "--config", path, "--format", "csv"]) == 0
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
+    assert rows["env.numpy"] == np.__version__ and rows["env.workers"] == "0"
+    assert rows["env.cpu_count"] == str(os.cpu_count())
 
 
 def test_cli_examples_n3_reads_seed_zero_and_samples_zero(capsys):

@@ -2,13 +2,15 @@ import hashlib
 import math
 import random
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from dupkit import curves as cv
-from dupkit.duplication import all_once, extend_profile
+from dupkit import curves as cv, simulate
+from dupkit.duplication import all_once, extend_profile, k_copies_of, set_once
 from dupkit.errors import DomainError, ProfileMismatch, UnboundedExpectation
 from dupkit.examples import lbhr_profile, n3_profile
 from dupkit.instances import random_profile
@@ -24,7 +26,10 @@ from dupkit.mechanisms import (
     run_vcg_k,
 )
 from dupkit.simulate import (
+    _ROW_BUDGET,
     Estimate,
+    _RowStore,
+    _value_row,
     _block_means,
     _Chunk,
     _first_argmax,
@@ -455,3 +460,130 @@ def test_median_matches_numpy(values):
     before = a.copy()
     assert struct.pack("<d", _median(a)) == struct.pack("<d", float(np.median(a)))
     assert a.tobytes() == before.tobytes()
+
+
+# Row store.  Profiles are prefixes of one curve list with clones appended,
+# so calls share original rows, clone slots (one substream, many curves) and
+# pair constraints; draw counts are prefixes of one another and cross chunk
+# boundaries; a small budget makes the store evict.
+_STORE_CURVES = [
+    cv.make_triangle(0.4, 0.6),
+    cv.make_equal_revenue(0.5),
+    cv.make_piecewise([(0.0, 0.0), (0.2, 0.3), (0.6, 0.5), (1.0, 0.2)]),
+    cv.make_point_mass(0.8),
+    cv.make_triangle(0.3, 0.5),
+]
+_STORE_DRAWS = (1, 700, simulate._CHUNK, simulate._CHUNK + 300, 20_000, 40_000)
+store_calls = st.lists(
+    st.tuples(
+        st.sampled_from(mechanism_names()),
+        st.integers(1, len(_STORE_CURVES)),  # profile prefix
+        st.sampled_from(["none", "single", "copies", "set", "all"]),  # duplicate plan
+        st.sampled_from(_STORE_DRAWS),
+        st.integers(0, 1),  # seed
+        st.sampled_from([0, 3]),  # workers
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _store_call(mechanism, n, plan, n_samples, seed, workers):
+    base = cv.make_profile(_STORE_CURVES[:n])
+    plans = {"single": k_copies_of(n - 1, 1), "copies": k_copies_of(0, 2),
+             "set": set_once(range(0, n, 2), pair_constrained=True),
+             "all": all_once(pair_constrained=True)}
+    profile, constraint = (base, NO_CONSTRAINT) if plan == "none" else extend_profile(
+        base, plans[plan])
+    params = {}
+    if mechanism in ("vcg", "vcg_constrained"):
+        params["k"] = 1 + seed
+    if mechanism == "posted":
+        params["prices"] = [0.3 + 0.1 * i for i in range(profile.n)]
+    return sample_revenues(profile, constraint, mechanism, n_samples, seed, workers, **params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(store_calls, st.sampled_from([_ROW_BUDGET, 1 << 18]))
+def test_row_store_results_match_empty_store(calls, budget):
+    saved = simulate._ROWS
+    try:
+        simulate._ROWS = shared = _RowStore(budget)
+        for call in calls:
+            got = _store_call(*call)
+            simulate._ROWS = _RowStore(budget)
+            want = _store_call(*call)
+            simulate._ROWS = shared
+            assert got.tobytes() == want.tobytes()
+            assert shared.nbytes <= budget
+    finally:
+        simulate._ROWS = saved
+
+
+def test_row_store_serves_read_only_rows():
+    curve, m = _STORE_CURVES[2], 5_000
+    scratch, v = np.empty((3, m)), np.empty(m)
+    store = _RowStore(_ROW_BUDGET)
+    first = _value_row(store, 3, 1, curve, 0, m, scratch, v)  # counted: values in v
+    assert first[0].base is v and first[0].flags.writeable and store.nbytes == 0
+    want = (first[0].copy(), first[1].copy())
+    kept = _value_row(store, 3, 1, curve, 0, m, scratch, v)  # stored, in fresh memory
+    served = _value_row(store, 3, 1, curve, 0, m - 1, scratch, v)  # a prefix of the stored row
+    assert store.nbytes == kept[0].nbytes + kept[1].nbytes
+    for arrays, width in ((kept, m), (served, m - 1)):
+        assert arrays[0].base is not v
+        for row, ref in zip(arrays, want):
+            assert row.tobytes() == ref[:width].tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 3_000), st.booleans()),
+                min_size=1, max_size=80))
+def test_row_store_stays_within_budget(requests):
+    store = _RowStore(20_000)
+    for key, m, with_index in requests:
+        arrays, admit = store.lookup(key, m)
+        if arrays is None and admit:
+            store.put(key, (np.zeros(m), np.zeros(m, dtype=np.uint8) if with_index else None))
+        assert arrays is None or arrays[0].shape == (m,)
+        kept = [entry for entry, _ in store._rows.values()]
+        assert store.nbytes == sum(a.nbytes for e in kept for a in e if a is not None)
+        assert store.nbytes <= store.budget
+        assert all(not a.flags.writeable for e in kept for a in e if a is not None)
+
+
+def test_row_store_threads_share_one_store():
+    # more threads than cores, switching often, on calls that share rows
+    calls = [(m, 3, plan, 20_000, 1, w) for m in ("spa", "vcg") for plan in ("single", "all")
+             for w in (0, 3)]
+    want = []
+    saved = simulate._ROWS
+    try:
+        for call in calls:
+            simulate._ROWS = _RowStore(_ROW_BUDGET)
+            want.append(_store_call(*call).tobytes())
+        simulate._ROWS = store = _RowStore(1 << 20)
+        got, interval = {}, sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def run(t):
+                for j in range(len(calls)):
+                    k = (j + t) % len(calls)
+                    got[t, k] = _store_call(*calls[k]).tobytes()
+
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == {(t, k): want[k] for t in range(4) for k in range(len(calls))}
+        kept = [entry for entry, _ in store._rows.values()]
+        assert store.nbytes == sum(a.nbytes for e in kept for a in e if a is not None)
+        assert 0 < store.nbytes <= store.budget
+    finally:
+        simulate._ROWS = saved
