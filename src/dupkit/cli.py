@@ -16,6 +16,7 @@ import json
 import math
 import random
 import sys
+import warnings
 
 from . import analysis, config as cfg, curves as cv
 from .duplication import (
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .examples import example_lbhr, example_n3, min_ratio_two_triangles
 from .exante import solve_exante
-from .verify import verify_all
+from .verify import BUDGETS, verify_all
 
 _USAGE_ERRORS = (
     ParseError,
@@ -259,11 +260,17 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify(args) -> int:
     only = None
-    if args.only:
-        only = {int(tok) for tok in args.only.split(",") if tok.strip()}
+    if args.only is not None:
+        try:
+            only = {int(tok) for tok in args.only.split(",") if tok.strip()}
+        except ValueError:
+            only = set()
+        if not only or not only <= set(BUDGETS):
+            raise ParseError(f"--only must list criterion numbers 1..9, got {args.only!r}")
     code, results, summary = verify_all(args.seed or 0, only)
     for res in results:
-        print(f"criterion {res.number} took {res.elapsed:.1f}s", file=sys.stderr)
+        print(f"criterion {res.number} took {res.elapsed:.1f}s "
+              f"of {BUDGETS[res.number]:.0f}s budget", file=sys.stderr)
     print(summary)
     return code
 
@@ -338,14 +345,18 @@ def _report_error(exc: Exception) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return _HANDLERS[args.command](args)
-    except _CHECK_FAILURES as exc:
-        _report_error(exc)
-        return 1
-    except _USAGE_ERRORS as exc:
-        _report_error(exc)
-        return 2
+    # A non-finite result exits 2 by value, so numpy's float warnings would only
+    # print ahead of the JSON error; a process-wide filter reaches worker threads.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r".* encountered in ", RuntimeWarning)
+        try:
+            return _HANDLERS[args.command](args)
+        except _CHECK_FAILURES as exc:
+            _report_error(exc)
+            return 1
+        except _USAGE_ERRORS as exc:
+            _report_error(exc)
+            return 2
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ in quantile space, so the exact optimum is a water-fill over positive-slope
 segments in decreasing slope order.  The slope at which the budget runs out
 is the dual multiplier; ties across bidders fill in index order, which keeps
 solutions deterministic.
+
+Weak duality certifies it: for any lam >= 0, lam*k + sum_i max_q (Rev_i(q) -
+lam*q) bounds the optimum, and equality at the reported ``dual`` certifies
+both ``opt`` and ``dual`` (``verify.exante_dual_bound``, bounded curves only).
 """
 
 from __future__ import annotations

@@ -283,42 +283,17 @@ def _random_curve_mixed(rng):
     return random_concave_curve(rng)
 
 
-def _grid_opt(profile, k, steps=120, rounds=3):
-    """Coarse-to-fine grid maximum of the ex ante objective (n <= 3, bounded).
+def exante_dual_bound(profile, k, lam) -> float:
+    """Lagrangian weak-duality bound on the ex ante optimum with k items.
 
-    The objective is concave, so shrinking a window around each round's
-    argmax keeps the true optimum inside; three rounds push resolution far
-    below the comparison tolerance.
+    For any lam >= 0 and any feasible allocation, sum_i Rev_i(q_i) is at most
+    lam*k + sum_i max_q (Rev_i(q) - lam*q).  Each bounded curve is piecewise
+    linear and concave, so the inner max over q in [0, 1] sits at a
+    breakpoint; only ``curve.breakpoints`` is read, so the bound is
+    independent of the water-fill and of the curve table.
     """
-    n = profile.n
-    lows = [0.0] * n
-    highs = [1.0] * n
-
-    def rev_vec(i, q):
-        t = profile.curves[i].table
-        return np.interp(q, t.q_arr, t.r_arr)
-
-    best_q = None
-    for _ in range(rounds):
-        axes = [np.linspace(lows[i], highs[i], steps) for i in range(n - 1)]
-        grids = np.meshgrid(*axes, indexing="ij") if n > 1 else []
-        used = sum(grids) if n > 1 else 0.0
-        last_peak = cv.monopoly(profile.curves[n - 1])[0]
-        q_last = np.clip(np.minimum(last_peak, k - used), lows[n - 1], highs[n - 1])
-        total = rev_vec(n - 1, q_last)
-        for i in range(n - 1):
-            total = total + rev_vec(i, grids[i])
-        feasible = (used + q_last <= k + 1e-12) if n > 1 else np.array(True)
-        total = np.where(feasible, total, -np.inf)
-        flat = int(np.argmax(total))
-        idx = np.unravel_index(flat, total.shape) if n > 1 else ()
-        best_q = [float(axes[i][idx[i]]) for i in range(n - 1)]
-        best_q.append(float(q_last[idx]) if n > 1 else float(q_last))
-        for i in range(n - 1):
-            span = (highs[i] - lows[i]) / steps
-            lows[i] = max(0.0, best_q[i] - 3 * span)
-            highs[i] = min(1.0, best_q[i] + 3 * span)
-    return math.fsum(cv.rev(profile.curves[i], q) for i, q in enumerate(best_q))
+    inner = (max(r - lam * q for q, r in c.breakpoints) for c in profile.curves)
+    return lam * k + math.fsum(inner)
 
 
 def criterion_7(seed: int = 0, n_tuples: int = 10_000) -> CriterionResult:
@@ -383,17 +358,21 @@ def criterion_7(seed: int = 0, n_tuples: int = 10_000) -> CriterionResult:
     if bad:
         problems.append(f"quad-mc:{bad}")
 
-    # exact water-fill vs refined grid search
+    # water-fill certified by weak duality at its own reported multiplier
     bad = 0
-    for _ in range(10):
-        n = rng.randint(1, 3)
-        prof = random_profile(n, rng, allow_unbounded=False)
-        k = rng.choice((1, 2))
-        exact = solve_exante(prof, k=k).opt
-        brute = _grid_opt(prof, k)
-        bad += not (exact >= brute - 1e-9 and exact - brute <= 1e-3)
+    for _ in range(1000):
+        prof = random_profile(rng.randint(1, 6), rng, allow_unbounded=False)
+        k = rng.randint(1, 3)
+        sol = solve_exante(prof, k=k)
+        bad += not (
+            all(0.0 <= q <= 1.0 for q in sol.quantiles)
+            and math.fsum(sol.quantiles) <= k + 1e-9
+            and abs(sol.opt - math.fsum(map(cv.rev, prof.curves, sol.quantiles))) <= 1e-12
+            and sol.dual >= 0.0
+            and exante_dual_bound(prof, k, sol.dual) <= sol.opt + 1e-9
+        )
     if bad:
-        problems.append(f"exante-grid:{bad}")
+        problems.append(f"exante-dual:{bad}")
 
     detail = "all property families hold" if not problems else "failures " + ",".join(problems)
     return CriterionResult(7, "property-suites", not problems, detail, time.perf_counter() - t0)
@@ -448,6 +427,9 @@ ALL_CRITERIA = (
     criterion_8,
     criterion_9,
 )
+
+# Wall-time budget in seconds for each criterion at full scale on seed 0.
+BUDGETS = {1: 1.0, 2: 60.0, 3: 300.0, 4: 1.0, 5: 600.0, 6: 60.0, 7: 300.0, 8: 30.0, 9: 300.0}
 
 
 def verify_all(seed: int = 0, only=None):

@@ -9,18 +9,16 @@ import pytest
 
 from dupkit import verify
 
-BUDGETS = {1: 1.0, 2: 60.0, 3: 300.0, 4: 1.0, 5: 600.0, 6: 60.0, 7: 300.0, 8: 30.0, 9: 300.0}
 
-
-@pytest.mark.parametrize("number", sorted(BUDGETS))
+@pytest.mark.parametrize("number", sorted(verify.BUDGETS))
 def test_criterion(number, capsys):
     res = verify.ALL_CRITERIA[number - 1](0)
     assert res.number == number
     line = (
         f"{'PASS' if res.passed else 'FAIL'}  criterion {res.number} ({res.name}): "
-        f"{res.detail} [{res.elapsed:.1f}s of {BUDGETS[number]:.0f}s budget]"
+        f"{res.detail} [{res.elapsed:.1f}s of {verify.BUDGETS[number]:.0f}s budget]"
     )
     with capsys.disabled():
         print(line, flush=True)
     assert res.passed, line
-    assert res.elapsed < BUDGETS[number], line
+    assert res.elapsed < verify.BUDGETS[number], line

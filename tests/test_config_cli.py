@@ -202,6 +202,15 @@ def test_cli_verify_single_criterion(capsys):
     assert "1/1 criteria passed" in out
 
 
+@pytest.mark.parametrize("only", ["x", "0", "10", ",", "1,x"])
+def test_cli_verify_only_must_name_criteria(only):
+    proc = subprocess.run([sys.executable, "-m", "dupkit.cli", "verify", "--only", only],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ParseError" and "--only" in err["detail"]
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["exante", "--config", missing]) == 2
@@ -309,17 +318,23 @@ def test_cli_samples_flag_above_maximum_is_parse_error(tmp_path, capsys, argv):
 
 def test_cli_never_writes_nonfinite_json(tmp_path):
     # a constant nothing gates, and curves whose values overflow to inf
-    huge = write_config(tmp_path, {"profile": {"curves": [{"equal_revenue": 1e308}] * 2},
-                                   "sampling": {"n_samples": 1000}})
-    for argv, field in (
+    def huge(name, *curves):
+        raw = {"profile": {"curves": list(curves)}, "sampling": {"n_samples": 1000}}
+        return ["simulate", "--config", write_config(tmp_path, raw, name)]
+
+    cases = [
         (["bounds", "--which", "warmup", "--alpha", "nan"], "'constants.alpha'"),
-        (["simulate", "--config", huge], "'exante_opt'"),
-    ):
+        (huge("er.json", {"equal_revenue": 1e308}, {"equal_revenue": 1e308}), "'exante_opt'"),
+        (huge("tri.json", {"equal_revenue": 1e300}, {"triangle": {"q": 0.5, "r": 1e300}}),
+         "'estimate.stderr'"),
+    ]
+    # sampling worker threads must not print float warnings either
+    cases += [([*argv, "--workers", "2"], field) for argv, field in cases[1:]]
+    for argv, field in cases:
         proc = subprocess.run([sys.executable, "-m", "dupkit.cli", *argv],
                               capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr and proc.stdout == ""
-        err = json.loads(proc.stderr.splitlines()[-1])
+        assert proc.returncode == 2 and proc.stdout == ""
+        err = json.loads(proc.stderr)  # the whole of stderr is one JSON object
         assert err["error"] == "NonFiniteResult" and field in err["detail"]
 
 

@@ -7,32 +7,8 @@ import pytest
 from dupkit import curves as cv
 from dupkit.errors import DomainError
 from dupkit.exante import exante_triangle_reduction, solve_exante
-from dupkit.instances import random_profile
-
-
-def brute_force_opt(profile, k, steps=400, rounds=4):
-    """Refined grid maximum; valid because the objective is concave."""
-    n = profile.n
-    bps = [np.array(c.breakpoints) for c in profile.curves]
-
-    def rev_i(i, q):
-        return np.interp(q, bps[i][:, 0], bps[i][:, 1])
-
-    lows, highs = [0.0] * n, [1.0] * n
-    best = 0.0
-    for _ in range(rounds):
-        axes = [np.linspace(lows[i], highs[i], steps) for i in range(n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        total = sum(rev_i(i, grids[i]) for i in range(n))
-        total = np.where(sum(grids) <= k + 1e-12, total, -np.inf)
-        flat = int(np.argmax(total))
-        idx = np.unravel_index(flat, total.shape)
-        best = float(total[idx])
-        for i in range(n):
-            span = (highs[i] - lows[i]) / steps
-            lows[i] = max(0.0, float(axes[i][idx[i]]) - 2 * span)
-            highs[i] = min(1.0, float(axes[i][idx[i]]) + 2 * span)
-    return best
+from dupkit.instances import random_concave_curve, random_profile, random_triangle
+from dupkit.verify import exante_dual_bound
 
 
 def test_unconstrained_when_peaks_fit():
@@ -83,17 +59,18 @@ def test_bad_inputs():
         solve_exante(prof, tol=0.0)
 
 
-def test_matches_brute_force_small():
+def test_dual_certificate():
     rng = random.Random(5)
-    for trial in range(12):
-        n = rng.randint(1, 3)
-        prof = random_profile(n, rng, allow_unbounded=False)
-        k = rng.choice((1, 2))
+    kinds = (random_triangle, random_concave_curve)
+    for trial in range(2000):
+        prof = cv.make_profile([rng.choice(kinds)(rng) for _ in range(rng.randint(1, 6))])
+        k = rng.randint(1, 3)
         sol = solve_exante(prof, k=k)
-        brute = brute_force_opt(prof, k)
-        assert sol.opt >= brute - 1e-9
-        assert sol.opt - brute <= 1e-3
+        assert all(0.0 <= q <= 1.0 for q in sol.quantiles)
         assert math.fsum(sol.quantiles) <= k + 1e-9
+        assert abs(sol.opt - math.fsum(map(cv.rev, prof.curves, sol.quantiles))) <= 1e-12
+        assert sol.dual >= 0.0
+        assert exante_dual_bound(prof, k, sol.dual) <= sol.opt + 1e-9, trial
 
 
 def test_kkt_certificate():
