@@ -116,6 +116,13 @@ def _samples_flag(args):
     return args.samples
 
 
+def _workers_flag(args) -> int:
+    """--workers, refused below 0 before anything is drawn."""
+    if args.workers is not None and args.workers < 0:
+        raise ParseError(f"--workers must be at least 0, got {args.workers}")
+    return args.workers or 0
+
+
 def _need(constants: dict, key: str) -> float:
     if key not in constants:
         raise DomainError(f"config constants must include {key!r} for this rule")
@@ -146,7 +153,7 @@ def _cmd_simulate(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     if _samples_flag(args) is not None:
         config = dataclasses.replace(config, n_samples=args.samples)
-    report, code = cfg.run_experiment(config, workers=args.workers or 0)
+    report, code = cfg.run_experiment(config, workers=_workers_flag(args))
     _emit(report, args.out or config.output_path, args.format or config.output_format)
     return code
 

@@ -46,6 +46,9 @@ from .simulate import ESTIMATORS, _default_estimator, _summarize, mechanism_name
 # Largest draw count a config or --samples may ask for.  The revenue array
 # is held whole, 8 bytes a draw, so this many draws take 800 MB.
 MAX_SAMPLES = 100_000_000
+# Most clones a k_copies_of plan may ask for: each clone adds a bidder row
+# to every chunk a call samples.
+MAX_COPIES = 1_000
 
 BOUND_FUNCS = {
     "single": lambda c: analysis.bound_single(c["alpha"], c["beta"]),
@@ -158,25 +161,34 @@ def parse_config(text: str) -> ExperimentConfig:
     if mech not in mechanism_names():
         _fail("mechanism", f"unknown mechanism {mech!r}; use one of {mechanism_names()}")
 
+    mechanism_params = dict(_object(raw, "mechanism_params"))
+    for key in mechanism_params:
+        if key not in ("k", "prices"):  # the parameters the mechanisms read
+            _fail(f"mechanism_params.{key}", "unknown field")
+
     plan = None
     if "plan" in raw:
         p = _object(raw, "plan")
         mode = p.get("mode")
         if mode not in PLAN_MODES:
             _fail("plan.mode", f"must be one of {sorted(PLAN_MODES)}")
+        copies = p.get("copies", 1)
+        if not 1 <= _int(copies, "plan.copies") <= MAX_COPIES:
+            _fail("plan.copies", f"must be in [1, {MAX_COPIES}], got {copies}")
         indices = p.get("indices", [])
         if not isinstance(indices, list):
             _fail("plan.indices", "must be a list of bidder indices")
         plan = DuplicatePlan(
             mode,
             index=_int(p.get("index", 0), "plan.index"),
-            copies=_int(p.get("copies", 1), "plan.copies"),
+            copies=copies,
             indices=tuple(_int(j, "plan.indices") for j in indices),
             pair_constrained=_bool(p.get("pair_constrained", False), "plan.pair_constrained"),
         )
 
     constants = dict(_object(raw, "constants"))
-    _int(constants.get("k", 1), "constants.k")
+    if _int(constants.get("k", 1), "constants.k") < 1:
+        _fail("constants.k", f"must be at least 1, got {constants['k']!r}")
     for name, val in constants.items():
         number = isinstance(val, numbers.Real) and not isinstance(val, bool)
         if name != "k" and not (number and math.isfinite(val)):
@@ -211,7 +223,7 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         profile=profile,
         mechanism=mech,
-        mechanism_params=dict(_object(raw, "mechanism_params")),
+        mechanism_params=mechanism_params,
         plan=plan,
         constants=constants,
         checks=checks,

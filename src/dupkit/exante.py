@@ -8,7 +8,8 @@ solutions deterministic.
 
 Weak duality certifies it: for any lam >= 0, lam*k + sum_i max_q (Rev_i(q) -
 lam*q) bounds the optimum, and equality at the reported ``dual`` certifies
-both ``opt`` and ``dual`` (``verify.exante_dual_bound``, bounded curves only).
+both ``opt`` and ``dual`` (``verify.exante_dual_bound``, which reads an
+unbounded curve as the sliver below).
 """
 
 from __future__ import annotations

@@ -12,21 +12,21 @@ each bidder's row is its uniforms, then their values (and segment indices)
 under its curve, and a mechanism kernel reduces the rows column by column.
 A row is a pure function of (seed, bidder index, curve, chunk), so callers
 that score many environments at one seed would redraw identical rows.
-Rows therefore go through _ROWS, one process-wide store:
+Such calls share rows through _ROWS, one process-wide store.  A call uses
+it only when it repeats the previous call's seed (a new seed meets no
+stored row) and its value rows fit in _ROW_BUDGET bytes (larger rows would
+evict one another before any reuse); such a call looks up and stores
+every row it draws:
 
 * value rows with their segment indices are keyed by (seed, index, curve
   bits, chunk start), and uniform rows by (seed, index, chunk start), so a
   clone slot under a new curve skips the hash;
 * a stored row serves any request for a prefix of it;
-* a key is stored on its second request, so a one-pass call stores
-  nothing, and a stored value row's uniforms are looked up, never stored;
-* a call whose value rows exceed the budget bypasses the store, since
-  stored they would evict one another before any reuse;
 * the store holds at most _ROW_BUDGET bytes and evicts the least recently
   used row; stored arrays are read-only and a lock guards the store.
 
-Rows the store does not keep are computed into one scratch block per
-thread, which is reused across calls (_scratch).
+Any other call makes no lookups and computes its rows into one scratch
+block per thread, which is reused across calls (_scratch).
 
 The store is exact: a key covers every input of its row, so a stored row
 holds the bits the same request would compute, and since every kernel
@@ -78,9 +78,8 @@ _MASK = (1 << 64) - 1
 # Draws per chunk: sample_revenues fills and reduces one chunk of every
 # bidder's row at a time, and the row store below keys rows by chunk start.
 _CHUNK = 1 << 14
-# Bytes the row store may hold, and how many once-requested keys it remembers.
+# Bytes the row store may hold.
 _ROW_BUDGET = 6 << 20
-_SEEN_KEYS = 1 << 12
 # Largest per-thread scratch block kept between sampling calls, in bytes.
 _SCRATCH_KEEP = 4 << 20
 
@@ -226,39 +225,35 @@ class _RowStore:
 
     A key names the row of one chunk of one bidder substream, and its
     entry is a tuple of arrays (or None) over counters [lo, lo + length).
-    A stored entry serves any request for a prefix of it.  A key is stored
-    on its second counted request, so a one-pass call stores nothing and
-    pays only the lookups.  Stored arrays are read-only.  The lock guards
-    the tables; rows are computed outside it, so two threads may both
-    compute a row, and the later entry replaces the earlier one.
+    A stored entry serves any request for a prefix of it.  Stored arrays
+    are read-only.  The lock guards the tables; rows are computed outside
+    it, so two threads may both compute a row, and the later entry
+    replaces the earlier one.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         self.nbytes = 0
         self._rows = OrderedDict()  # key -> (arrays, nbytes), oldest first
-        self._seen = OrderedDict()  # keys requested once and not stored, oldest first
+        self._seed = None  # the seed of the previous call to admit
         self._lock = threading.Lock()
 
-    def lookup(self, key, m: int, count: bool = True):
-        """(arrays, admit): the entry under key cut to its first m counters,
-        or None and whether the caller should put the row it computes.
+    def admit(self, seed: int, nbytes: int) -> bool:
+        """Whether a sampling call at seed, whose value rows take nbytes,
+        uses the store: only when it repeats the previous call's seed and
+        its value rows fit in the budget."""
+        with self._lock:
+            repeat, self._seed = seed == self._seed, seed
+        return repeat and nbytes <= self.budget
 
-        An uncounted request only looks: it neither stores nor counts.
-        """
+    def lookup(self, key, m: int):
+        """The entry under key cut to its first m counters, or None."""
         with self._lock:
             entry = self._rows.get(key)
-            if entry is not None and entry[0][0].shape[0] >= m:
-                self._rows.move_to_end(key)
-                return tuple(None if a is None else a[:m] for a in entry[0]), False
-            if not count:
-                return None, False
-            if entry is not None or self._seen.pop(key, False):
-                return None, True
-            self._seen[key] = True
-            if len(self._seen) > _SEEN_KEYS:
-                self._seen.popitem(last=False)
-            return None, False
+            if entry is None or entry[0][0].shape[0] < m:
+                return None
+            self._rows.move_to_end(key)
+        return tuple(None if a is None else a[:m] for a in entry[0])
 
     def put(self, key, arrays: tuple) -> None:
         """Store arrays, which the caller no longer writes, under key."""
@@ -274,14 +269,6 @@ class _RowStore:
             self._rows[key] = (arrays, nbytes)
             while self.nbytes > self.budget:
                 self.nbytes -= self._rows.popitem(last=False)[1][1]
-
-
-class _NoStore:
-    """Stands in for the row store in calls too large to use it."""
-
-    @staticmethod
-    def lookup(key, m: int, count: bool = True):
-        return None, False
 
 
 _ROWS = _RowStore(_ROW_BUDGET)
@@ -303,43 +290,35 @@ def _scratch(rows: int, width: int) -> np.ndarray:
     return block[:size].reshape(rows, width)
 
 
-def _uniform_row(rows, seed: int, i: int, lo: int, hi: int, scratch: np.ndarray, count: bool):
-    """uniforms(seed, i, lo, hi) through the row store rows, keyed (seed, i,
-    lo); written into scratch[0] when the store does not keep it."""
-    key, m = (seed, i, lo), hi - lo
-    row, admit = rows.lookup(key, m, count)
-    if row is not None:
-        return row[0]
-    mix = scratch[1, :m].view(np.uint64)
-    if not admit:
-        return uniforms(seed, i, lo, hi, out=scratch[0, :m], scratch=mix)
-    u = uniforms(seed, i, lo, hi, scratch=mix)
-    rows.put(key, (u,))
-    return u
-
-
 def _value_row(rows, seed: int, i: int, curve: cv.RevenueCurve, lo: int, hi: int,
                scratch, v) -> tuple:
     """(values, _segments) of substream i under curve over counters [lo, hi).
 
-    The row store rows (_ROWS or _NoStore) keys them by (seed, i, curve,
-    lo), the curve by the bits of its breakpoints.  scratch is a (3, >= hi
-    - lo) block, for the quantiles, the uniforms' mix and the values'
-    gathers, and v a row the values go to unless the store keeps them.  A
-    value row the store keeps needs its uniforms no more, so its uniform
-    request is not counted: a stored uniform row serves clone slots, where
-    one substream meets many curves.
+    scratch is a (3, >= hi - lo) block, for the quantiles, the uniforms'
+    mix and the values' gathers.  With rows None, the uniforms go to
+    scratch and the values to the row v.  With rows the row store, the
+    value row is looked up under (seed, i, curve bits, lo) and its
+    uniforms under (seed, i, lo), and each one missing is computed into
+    fresh memory and stored.
     """
     t, m = curve.table, hi - lo
-    key = (seed, i, t.key, lo)
-    row, admit = rows.lookup(key, m)
-    if row is not None:
-        return row
-    u = _uniform_row(rows, seed, i, lo, hi, scratch, not admit)
+    mix = scratch[1, :m].view(np.uint64)
+    if rows is None:
+        u, out = uniforms(seed, i, lo, hi, out=scratch[0, :m], scratch=mix), v[:m]
+    else:
+        key, u_key = (seed, i, t.key, lo), (seed, i, lo)
+        row = rows.lookup(key, m)
+        if row is not None:
+            return row
+        u = rows.lookup(u_key, m)
+        if u is None:
+            u = (uniforms(seed, i, lo, hi, scratch=mix),)
+            rows.put(u_key, u)
+        u, out = u[0], np.empty(m)
     q = np.maximum(u, cv.EPS_MIN, out=scratch[0, :m])
     seg = _segments(t, q)
-    row = _values(curve, q, seg, np.empty(m) if admit else v[:m], scratch[2, :m]), seg
-    if admit:
+    row = _values(curve, q, seg, out, scratch[2, :m]), seg
+    if rows is not None:
         rows.put(key, row)
     return row
 
@@ -353,7 +332,7 @@ class _Chunk:
     seed: int
     lo: int
     hi: int
-    rows: object = _NoStore  # the row store the chunk's rows came through
+    rows: object = None  # _ROWS when the chunk's rows came through it, else None
 
 
 def _top(entries, r: int, carry: int = 0):
@@ -595,9 +574,7 @@ def sample_revenues(
     kernel = _MECHANISMS[mechanism]
     curves = profile.curves
     out = np.empty(n_samples)
-    # A call whose value rows would overflow the row store bypasses it:
-    # stored, they would evict one another before any reuse.
-    rows = _ROWS if profile.n * n_samples * 8 <= _ROWS.budget else _NoStore
+    rows = _ROWS if _ROWS.admit(seed, profile.n * n_samples * 8) else None
 
     def fill(spans) -> None:
         # one scratch block and one (n, chunk) block of values per caller,

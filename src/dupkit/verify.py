@@ -290,9 +290,12 @@ def exante_dual_bound(profile, k, lam) -> float:
     lam*k + sum_i max_q (Rev_i(q) - lam*q).  Each bounded curve is piecewise
     linear and concave, so the inner max over q in [0, 1] sits at a
     breakpoint; only ``curve.breakpoints`` is read, so the bound is
-    independent of the water-fill and of the curve table.
+    independent of the water-fill and of the curve table.  An unbounded
+    curve enters as the water-fill models it, the sliver q in [0, EPS_MIN]
+    of revenue up to rev(EPS_MIN), whose inner max is at an end of it.
     """
-    inner = (max(r - lam * q for q, r in c.breakpoints) for c in profile.curves)
+    inner = (max(0.0, cv.rev(c, cv.EPS_MIN) - lam * cv.EPS_MIN) if cv.is_unbounded(c)
+             else max(r - lam * q for q, r in c.breakpoints) for c in profile.curves)
     return lam * k + math.fsum(inner)
 
 
@@ -396,9 +399,6 @@ def criterion_9(seed: int = 0, n_instances: int = 100, n_samples: int = 100_000)
     for i in range(n_instances):
         prof = cv.make_profile([random_triangle(rng) for _ in range(rng.randint(2, 5))])
         s = seed + 31 * i
-        # Every call draws prof's rows at seed s.  The two calls that read
-        # only those rows go first, so the row store holds them for the
-        # other two before the duplicates' rows pass through it.
         la = sample_revenues(prof, NO_CONSTRAINT, "lookahead", n_samples, s)
         my = sample_revenues(prof, NO_CONSTRAINT, "myerson", n_samples, s)
         spa_d = sample_revenues(_all_dups(prof), NO_CONSTRAINT, "spa", n_samples, s)

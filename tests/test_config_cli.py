@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dupkit import config as cfg
 from dupkit.cli import main
@@ -263,12 +267,17 @@ def test_cli_simulate_bad_k_is_usage_error(tmp_path, mechanism, k):
          "'plan.pair_constrained'"),
         ("simulate", {"sampling": {"n_samples": 1e300}}, "'sampling.n_samples'"),
         ("simulate", {"sampling": {"n_samples": 10**30}}, "'sampling.n_samples'"),
+        ("classify", {"constants": {"alpha": 0.27, "beta": 0.4, "k": 0}}, "'constants.k'"),
+        ("classify", {"constants": {"alpha": 0.27, "beta": 0.4, "k": -1}}, "'constants.k'"),
+        ("simulate", {"plan": {"mode": "k_copies_of", "copies": 10**30}}, "'plan.copies'"),
+        ("simulate", {"mechanism_params": {"seed": 1}}, "'mechanism_params.seed'"),
     ],
     ids=["inf-piecewise", "inf-triangle", "nan-point-mass", "inf-equal-revenue", "plan-string",
          "plan-index", "n-samples", "estimator", "posted-no-prices", "posted-short-prices",
          "checks-not-list", "constant-not-number", "names-not-list", "plan-index-float",
          "k-float", "n-samples-bool", "pair-constrained-string", "n-samples-huge-float",
-         "n-samples-huge-int"],
+         "n-samples-huge-int", "classify-k-zero", "classify-k-negative",
+         "plan-copies-huge", "mechanism-params-unknown"],
 )
 def test_cli_bad_input_is_usage_error(tmp_path, command, change, field):
     path = write_config(tmp_path, {**BASE, **change})
@@ -314,6 +323,15 @@ def test_cli_samples_flag_above_maximum_is_parse_error(tmp_path, capsys, argv):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError" and "--samples" in err["detail"]
     assert cfg.parse_config(json.dumps({**BASE, "sampling": {"n_samples": cfg.MAX_SAMPLES}}))
+
+
+def test_cli_negative_workers_is_parse_error(tmp_path, capsys):
+    path = write_config(tmp_path, BASE)
+    assert main(["simulate", "--config", path, "--workers", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)  # the whole of stderr is one JSON object
+    assert err["error"] == "ParseError" and "--workers" in err["detail"]
 
 
 def test_cli_never_writes_nonfinite_json(tmp_path):
@@ -377,3 +395,82 @@ def test_cli_module_entrypoint(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["opt"] == pytest.approx(1.5, abs=1e-9)
+
+
+# A config that sets every field the parser reads; the fuzz below changes
+# one of them at a time.
+_FUZZ_BASE = {
+    "profile": {"curves": [{"triangle": {"q": 0.5, "r": 0.5}}, {"equal_revenue": 1.0},
+                           {"piecewise": [[0, 0], [0.5, 0.4], [1, 0.2]]}, {"point_mass": 0.7}],
+                "names": ["a", "b", "c", "d"]},
+    "mechanism": "vcg",
+    "mechanism_params": {"k": 1},
+    "plan": {"mode": "k_copies_of", "index": 1, "copies": 2, "indices": [0, 2],
+             "pair_constrained": False},
+    "constants": {"alpha": 0.27, "beta": 0.4, "gamma": 0.2, "delta": 0.1, "eps": 0.0, "k": 2},
+    "checks": ["warmup"],
+    "sampling": {"n_samples": 300, "seed": 3, "estimator": "plain"},
+    "output": {"format": "json"},
+}
+
+
+def _field_paths(node, path=()):
+    """Every path into node: its keys and list positions, nested ones too."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, val in items:
+        yield (*path, key)
+        if isinstance(val, (dict, list)):
+            yield from _field_paths(val, (*path, key))
+
+
+# output.format is left alone: csv is a valid value and is not JSON
+_FUZZ_PATHS = [p for p in _field_paths(_FUZZ_BASE) if p != ("output", "format")]
+_WORDS = ["spa", "vcg", "vcg_constrained", "myerson", "lookahead", "spald", "posted", "all_once",
+          "single_of", "k_copies_of", "set_once", "plain", "median_of_means", "warmup", "k-free",
+          "triangle", "q", "r", "k", "prices", "seed", "workers", "profile", "n_samples"]
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.floats(),
+    st.sampled_from([10**8, 2**63, 10**30, -(10**30)]), st.sampled_from(_WORDS),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_WORDS), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FUZZ_PATHS), st.one_of(st.just(None), _values), st.booleans(),
+       st.sampled_from(["simulate", "exante", "classify"]))
+@example(("plan", "copies"), 10**30, False, "simulate")
+@example(("mechanism_params",), {"seed": 1}, False, "simulate")
+def test_cli_config_fuzz_keeps_exit_contract(path, value, delete, command):
+    raw = json.loads(json.dumps(_FUZZ_BASE))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = os.path.join(tmp, "conf.json")
+        with open(conf, "w") as fh:
+            fh.write(json.dumps(raw))
+        argv = [command, "--config", conf] + (["--samples", "300"] if command == "simulate" else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if err.getvalue():
+        assert code != 0 and "error" in _strict_json(err.getvalue())
+    if out.getvalue():
+        _strict_json(out.getvalue())

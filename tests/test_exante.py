@@ -61,8 +61,9 @@ def test_bad_inputs():
 
 def test_dual_certificate():
     rng = random.Random(5)
-    kinds = (random_triangle, random_concave_curve)
-    for trial in range(2000):
+    kinds = (random_triangle, random_concave_curve,
+             lambda rng: cv.make_equal_revenue(rng.uniform(0.1, 1.0)))
+    for trial in range(3000):
         prof = cv.make_profile([rng.choice(kinds)(rng) for _ in range(rng.randint(1, 6))])
         k = rng.randint(1, 3)
         sol = solve_exante(prof, k=k)
@@ -70,7 +71,7 @@ def test_dual_certificate():
         assert math.fsum(sol.quantiles) <= k + 1e-9
         assert abs(sol.opt - math.fsum(map(cv.rev, prof.curves, sol.quantiles))) <= 1e-12
         assert sol.dual >= 0.0
-        assert exante_dual_bound(prof, k, sol.dual) <= sol.opt + 1e-9, trial
+        assert abs(exante_dual_bound(prof, k, sol.dual) - sol.opt) <= 1e-9, trial
 
 
 def test_kkt_certificate():

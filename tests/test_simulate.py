@@ -523,16 +523,19 @@ def test_row_store_results_match_empty_store(calls, budget):
 def test_row_store_serves_read_only_rows():
     curve, m = _STORE_CURVES[2], 5_000
     scratch, v = np.empty((3, m)), np.empty(m)
+    direct = _value_row(None, 3, 1, curve, 0, m, scratch, v)  # no store: values in v
+    assert direct[0].base is v and direct[0].flags.writeable
+    want = (direct[0].copy(), direct[1].copy())
     store = _RowStore(_ROW_BUDGET)
-    first = _value_row(store, 3, 1, curve, 0, m, scratch, v)  # counted: values in v
-    assert first[0].base is v and first[0].flags.writeable and store.nbytes == 0
-    want = (first[0].copy(), first[1].copy())
     kept = _value_row(store, 3, 1, curve, 0, m, scratch, v)  # stored, in fresh memory
     served = _value_row(store, 3, 1, curve, 0, m - 1, scratch, v)  # a prefix of the stored row
-    assert store.nbytes == kept[0].nbytes + kept[1].nbytes
-    for arrays, width in ((kept, m), (served, m - 1)):
+    (u,) = store.lookup((3, 1, 0), m)  # the row's uniforms, stored beside it
+    assert served[0].base is kept[0] and served[1].base is kept[1]
+    assert store.nbytes == kept[0].nbytes + kept[1].nbytes + u.nbytes
+    assert u.tobytes() == uniforms(3, 1, 0, m).tobytes()
+    for arrays, refs, width in ((kept, want, m), (served, want, m - 1), ((u,), (u,), m)):
         assert arrays[0].base is not v
-        for row, ref in zip(arrays, want):
+        for row, ref in zip(arrays, refs):
             assert row.tobytes() == ref[:width].tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 row[0] = 0
@@ -544,14 +547,56 @@ def test_row_store_serves_read_only_rows():
 def test_row_store_stays_within_budget(requests):
     store = _RowStore(20_000)
     for key, m, with_index in requests:
-        arrays, admit = store.lookup(key, m)
-        if arrays is None and admit:
-            store.put(key, (np.zeros(m), np.zeros(m, dtype=np.uint8) if with_index else None))
+        arrays = store.lookup(key, m)
+        if arrays is None:
+            row = (np.zeros(m), np.zeros(m, dtype=np.uint8) if with_index else None)
+            store.put(key, row)
+            fits = sum(a.nbytes for a in row if a is not None) <= store.budget
+            arrays = store.lookup(key, m)
+            assert (arrays is not None) == fits
+            if fits:  # the stored row serves its prefixes
+                assert store.lookup(key, m // 2 + 1)[0].base is row[0]
         assert arrays is None or arrays[0].shape == (m,)
         kept = [entry for entry, _ in store._rows.values()]
         assert store.nbytes == sum(a.nbytes for e in kept for a in e if a is not None)
         assert store.nbytes <= store.budget
         assert all(not a.flags.writeable for e in kept for a in e if a is not None)
+
+
+class _CountingStore(_RowStore):
+    def __init__(self, budget):
+        super().__init__(budget)
+        self.lookups = self.puts = 0
+
+    def lookup(self, key, m):
+        self.lookups += 1
+        return super().lookup(key, m)
+
+    def put(self, key, arrays):
+        self.puts += 1
+        super().put(key, arrays)
+
+
+def test_row_store_admits_only_repeat_seed_calls_that_fit(monkeypatch):
+    store = _CountingStore(_ROW_BUDGET)
+    monkeypatch.setattr(simulate, "_ROWS", store)
+    profile = cv.make_profile(_STORE_CURVES[:4])
+    fits = _ROW_BUDGET // (8 * profile.n)  # the most draws whose value rows fit
+
+    def counts(n_samples, seed):
+        store.lookups = store.puts = 0
+        rev = sample_revenues(profile, NO_CONSTRAINT, "spa", n_samples, seed)
+        return (store.lookups, store.puts), rev
+
+    assert counts(20_000, 1)[0] == (0, 0)  # the first call
+    assert counts(20_000, 2)[0] == (0, 0)  # a new seed
+    # a repeat seed within budget: one chunk, each bidder's value and uniform rows
+    stored, first = counts(20_000, 2)
+    assert stored == (8, 8) and store.nbytes > 0
+    served, again = counts(20_000, 2)
+    assert served == (4, 0) and again.tobytes() == first.tobytes()
+    assert counts(fits + 1, 2)[0] == (0, 0)  # a repeat seed over budget
+    assert counts(fits, 2)[0][1] > 0
 
 
 def test_row_store_threads_share_one_store():
