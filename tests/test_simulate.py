@@ -599,6 +599,48 @@ def test_row_store_admits_only_repeat_seed_calls_that_fit(monkeypatch):
     assert counts(fits, 2)[0][1] > 0
 
 
+# One fixed sequence of calls on a fresh store, as (mechanism, profile
+# prefix, plan, draws, seed, workers).  Seeds repeat in runs of 3 to 5, so
+# each run's first call draws afresh and the rest are admitted: they store
+# rows, serve prefixes of stored rows (700 and 16,384 draws after 16,684 and
+# 40,000) and reuse the uniforms of a clone slot under a new curve.  The
+# sha256 over every result's bytes was recorded before the store moved any
+# sampling into fill; any rewrite must keep every bit.
+_STORE_SEQUENCE = [
+    ("spa", 3, "none", 40_000, 0, 0),
+    ("spald", 3, "single", 40_000, 0, 0),
+    ("vcg", 3, "copies", 16_684, 0, 3),
+    ("myerson", 3, "copies", 700, 0, 0),
+    ("lookahead", 5, "all", 20_000, 1, 3),
+    ("vcg_constrained", 5, "all", 20_000, 1, 0),
+    ("posted", 5, "set", 16_384, 1, 0),
+    ("spald", 5, "none", 40_000, 1, 3),
+    ("spald", 5, "all", 40_000, 1, 3),
+    ("spa", 4, "single", 16_684, 0, 0),
+    ("spald", 4, "copies", 16_684, 0, 0),
+    ("vcg_constrained", 4, "set", 700, 0, 3),
+    ("myerson", 4, "all", 40_000, 0, 3),
+    ("posted", 2, "all", 20_000, 0, 0),
+    ("vcg", 5, "all", 40_000, 1, 0),
+    ("lookahead", 5, "single", 16_384, 1, 0),
+    ("spald", 2, "set", 700, 1, 3),
+    ("myerson", 5, "none", 16_684, 1, 0),
+    ("spa", 5, "copies", 40_000, 1, 3),
+    ("vcg", 3, "set", 40_000, 0, 3),
+    ("spald", 3, "all", 20_000, 0, 0),
+    ("posted", 3, "single", 16_384, 0, 3),
+]
+_STORE_SEQUENCE_GOLDEN = "0afb428707938ecfa0875b3f490c9033435cb0b484572f8acf29a9f7cd54454a"
+
+
+def test_row_store_sequence_golden_digest(monkeypatch):
+    monkeypatch.setattr(simulate, "_ROWS", _RowStore(_ROW_BUDGET))
+    digest = hashlib.sha256()
+    for call in _STORE_SEQUENCE:
+        digest.update(_store_call(*call).tobytes())
+    assert digest.hexdigest() == _STORE_SEQUENCE_GOLDEN
+
+
 def test_row_store_threads_share_one_store():
     # more threads than cores, switching often, on calls that share rows
     calls = [(m, 3, plan, 20_000, 1, w) for m in ("spa", "vcg") for plan in ("single", "all")
