@@ -26,39 +26,10 @@ from .duplication import (
     select_by_sample,
     select_k_set_noisy,
 )
-from .errors import (
-    ConcavityViolation,
-    DominanceViolation,
-    DomainError,
-    HypothesisViolated,
-    LemmaViolation,
-    NonConvergence,
-    NonFiniteResult,
-    ParseError,
-    ProfileMismatch,
-    UnboundedExpectation,
-)
+from .errors import DomainError, DupkitError, NonFiniteResult, ParseError
 from .examples import example_lbhr, example_n3, min_ratio_two_triangles
 from .exante import solve_exante
 from .verify import BUDGETS, verify_all
-
-_USAGE_ERRORS = (
-    ParseError,
-    DomainError,
-    HypothesisViolated,
-    ConcavityViolation,
-    ProfileMismatch,
-    NonFiniteResult,
-    IndexError,
-    OSError,
-)
-_CHECK_FAILURES = (
-    LemmaViolation,
-    NonConvergence,
-    UnboundedExpectation,
-    DominanceViolation,
-)
-
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -358,10 +329,10 @@ def main(argv=None) -> int:
         warnings.filterwarnings("ignore", r".* encountered in ", RuntimeWarning)
         try:
             return _HANDLERS[args.command](args)
-        except _CHECK_FAILURES as exc:
+        except DupkitError as exc:
             _report_error(exc)
-            return 1
-        except _USAGE_ERRORS as exc:
+            return exc.exit_code
+        except (IndexError, OSError) as exc:
             _report_error(exc)
             return 2
 

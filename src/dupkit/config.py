@@ -41,7 +41,7 @@ from .duplication import PLAN_MODES, DuplicatePlan, extend_profile
 from .errors import ConcavityViolation, ParseError
 from .exante import solve_exante
 from .mechanisms import NO_CONSTRAINT
-from .simulate import ESTIMATORS, _default_estimator, _summarize, mechanism_names, sample_revenues
+from .simulate import ESTIMATORS, _estimator, _summarize, mechanism_names, sample_revenues
 
 # Largest draw count a config or --samples may ask for.  The revenue array
 # is held whole, 8 bytes a draw, so this many draws take 800 MB.
@@ -276,7 +276,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 0):
         profile, constraint, config.mechanism, config.n_samples, config.seed, workers, **params
     )
     t3 = perf_counter()
-    est = _summarize(rev, config.seed, config.estimator or _default_estimator(profile))
+    est = _summarize(rev, config.seed, _estimator(config.estimator, profile))
     t4 = perf_counter()
     check_rows = []
     all_pass = True

@@ -35,19 +35,6 @@ EPS_MIN = 1e-12
 _SLOPE_TOL = 1e-9
 
 
-def _interp(qs, rs, q: float) -> float:
-    """Rev(q) on the breakpoints, exact at breakpoints.
-
-    Only the last segment is evaluated at its right end (q = 1), where the
-    chord's r0 + (r1 - r0) can miss r1 by an ulp, so that end returns r1.
-    """
-    j = min(max(bisect_right(qs, q) - 1, 0), len(qs) - 2)
-    q0, q1, r0, r1 = qs[j], qs[j + 1], rs[j], rs[j + 1]
-    if q == q1:
-        return r1
-    return r0 + (r1 - r0) * (q - q0) / (q1 - q0)
-
-
 class CurveTable:
     """Breakpoint data: Python floats for scalar queries, arrays for sampling.
 
@@ -63,7 +50,7 @@ class CurveTable:
             slope = (rs[j] - rs[j - 1]) / (qs[j] - qs[j - 1])
             segs.append((qs[j - 1], qs[j], slope, rs[j - 1] - slope * qs[j - 1]))
         self.segments = tuple(segs)
-        self.floor = 0.0 if curve.scale else _interp(qs, rs, 1.0)
+        self.floor = rs[-1]
         self.ceiling = math.inf if curve.scale else segs[0][2]
         self.q_arr = np.array(qs)
         self.r_arr = np.array(rs)
@@ -192,13 +179,22 @@ def segments(curve: RevenueCurve):
 
 
 def rev(curve: RevenueCurve, q: float) -> float:
-    """Revenue at sale probability q, exact at breakpoints."""
+    """Revenue at sale probability q, exact at breakpoints.
+
+    A bounded curve reads rs[j] + slope_j * (q - qs[j]) on segment
+    j = bisect_right(qs, q) - 1, the expression and operation order of the
+    sampler's simulate._values, so sample_value(c, u) is the sampled value
+    of u bit for bit.  q = 1 returns the last breakpoint's revenue.
+    """
     if not (0.0 <= q <= 1.0):
         raise DomainError(f"q={q} outside [0,1]")
     if curve.scale:
         return 0.0 if q == 0.0 else curve.scale * (1.0 - q)
     t = curve.table
-    return _interp(t.qs, t.rs, q)
+    if q == 1.0:
+        return t.rs[-1]
+    j = bisect_right(t.qs, q) - 1
+    return t.rs[j] + t.segments[j][2] * (q - t.qs[j])
 
 
 def value(curve: RevenueCurve, q: float, allow_infinite: bool = False) -> float:

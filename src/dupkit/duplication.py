@@ -138,21 +138,7 @@ def noisy_beta_reports(profile: cv.BidderProfile, beta: float, eps: float, seed:
     return out
 
 
-def _plan_for(mode: str, i: int, k: int) -> DuplicatePlan:
-    if mode == SINGLE_OF:
-        return single_of(i)
-    if mode == K_COPIES_OF:
-        return k_copies_of(i, k)
-    raise DomainError(f"plan kind {mode!r} does not name a single bidder")
-
-
-def best_single_duplicate(
-    profile: cv.BidderProfile,
-    evaluator,
-    plan_kind: str = SINGLE_OF,
-    k: int = 1,
-    workers: int = 0,
-):
+def best_single_duplicate(profile: cv.BidderProfile, evaluator, workers: int = 0):
     """Exhaustive search for the best bidder to duplicate.
 
     evaluator(extended_profile, constraint) -> expected revenue; it must be
@@ -161,7 +147,7 @@ def best_single_duplicate(
     """
     revs = []
     for i in range(profile.n):
-        extended, constraint = extend_profile(profile, _plan_for(plan_kind, i, k))
+        extended, constraint = extend_profile(profile, single_of(i))
         revs.append(float(evaluator(extended, constraint)))
     best = min(range(profile.n), key=lambda i: (-revs[i], i))
     return best, revs[best]

@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the exit code the command line returns for it: 2 for a
+bad config or invocation, 1 where a checked bound or certified claim failed.
+"""
 
 
 class DupkitError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class DomainError(DupkitError, ValueError):
@@ -20,13 +26,19 @@ class HypothesisViolated(DupkitError, ValueError):
 class LemmaViolation(DupkitError, RuntimeError):
     """No case of a structural lemma holds; signals a curve invariant bug."""
 
+    exit_code = 1
+
 
 class NonConvergence(DupkitError, RuntimeError):
     """An iterative routine exhausted its budget without closing the tolerance."""
 
+    exit_code = 1
+
 
 class UnboundedExpectation(DupkitError, ValueError):
     """Requested expectation is infinite (rank-1 statistic of an unbounded curve)."""
+
+    exit_code = 1
 
 
 class ProfileMismatch(DupkitError, ValueError):
@@ -35,6 +47,8 @@ class ProfileMismatch(DupkitError, ValueError):
 
 class DominanceViolation(DupkitError, ValueError):
     """A pointwise revenue-dominance precondition does not hold."""
+
+    exit_code = 1
 
 
 class ParseError(DupkitError, ValueError):

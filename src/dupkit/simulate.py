@@ -8,15 +8,18 @@ two environments run with the same seed.
 
 Sampling runs in chunks that start at multiples of _CHUNK = 2^14 draws; a
 remainder shorter than half a chunk joins the chunk before it.  Per chunk,
-each bidder's row is its uniforms, then their values (and segment indices)
-under its curve, and a mechanism kernel reduces the rows column by column.
+sample_revenues fills each bidder's row with its uniforms, then their
+values (and segment indices) under its curve; spald also gets row n + j,
+its late duplicate of bidder j, under curve j.  A mechanism kernel only
+reduces the rows, column by column.  A value is computed as curves.rev
+computes it, so cv.sample_value(c, u) is the sampled value of u.
 A row is a pure function of (seed, bidder index, curve, chunk), so callers
 that score many environments at one seed would redraw identical rows.
 Such calls share rows through _ROWS, one process-wide store.  A call uses
 it only when it repeats the previous call's seed (a new seed meets no
-stored row) and its value rows fit in _ROW_BUDGET bytes (larger rows would
-evict one another before any reuse); such a call looks up and stores
-every row it draws:
+stored row) and every value row it draws fits in _ROW_BUDGET bytes
+(larger rows would evict one another before any reuse); such a call looks
+up and stores every row it draws:
 
 * value rows with their segment indices are keyed by (seed, index, curve
   bits, chunk start), and uniform rows by (seed, index, chunk start), so a
@@ -325,14 +328,12 @@ def _value_row(rows, seed: int, i: int, curve: cv.RevenueCurve, lo: int, hi: int
 
 @dataclass(frozen=True)
 class _Chunk:
-    """One chunk of draws: sample counters [lo, hi) of every bidder."""
+    """One chunk of draws: sample counters [lo, hi) of every drawn substream."""
 
-    v: tuple  # per bidder i: values at the quantiles q = max(u, EPS_MIN), read-only
-    seg: tuple  # per bidder i: _segments(q[i]), shared by values and virtual values
-    seed: int
+    v: tuple  # per substream i: values at the quantiles q = max(u, EPS_MIN), read-only
+    seg: tuple  # per substream i: _segments(q[i]), shared by values and virtual values
     lo: int
     hi: int
-    rows: object = None  # _ROWS when the chunk's rows came through it, else None
 
 
 def _top(entries, r: int, carry: int = 0):
@@ -500,19 +501,21 @@ def _rev_lookahead(curves, constraint, ch, params):
 
 
 def _rev_spald(curves, constraint, ch, params):
-    v = ch.v
-    n, m = len(v), ch.hi - ch.lo
+    """Second price against a late duplicate of the top bidder.
+
+    Row n + j of ch.v is bidder j's duplicate, the row its clone gets
+    under an every-bidder-once extension, which couples this mechanism
+    with the duplicate SPA pathwise; each column takes its top bidder's.
+    """
+    n = len(curves)
+    v = ch.v[:n]
     top_val, second = _top_two(v)
     win = _first_argmax(v, top_val)
-    # The duplicate of bidder j draws substream n+j: the same row its clone
-    # gets under an every-bidder-once extension, which couples this
-    # mechanism under the duplicate SPA pathwise, and reads it from the
-    # row store.  Each column takes the row of its top bidder.
-    scratch, buf, dup_val = np.empty((3, m)), np.empty(m), np.empty(m)
-    for j, c in enumerate(curves):
-        row = _value_row(ch.rows, ch.seed, n + j, c, ch.lo, ch.hi, scratch, buf)[0]
+    dup_val = np.empty(ch.hi - ch.lo)
+    for j, row in enumerate(ch.v[n:]):
         np.copyto(dup_val, row, where=win == j)
-    return np.minimum(np.maximum(second, dup_val), top_val)
+    np.maximum(second, dup_val, out=dup_val)
+    return np.minimum(dup_val, top_val, out=dup_val)
 
 
 def _rev_posted(curves, constraint, ch, params):
@@ -573,20 +576,21 @@ def sample_revenues(
         constraint = NO_CONSTRAINT
     kernel = _MECHANISMS[mechanism]
     curves = profile.curves
+    # row i draws substream i under drawn[i]; spald's duplicates come last
+    drawn = curves * 2 if mechanism == "spald" else curves
     out = np.empty(n_samples)
-    rows = _ROWS if _ROWS.admit(seed, profile.n * n_samples * 8) else None
+    rows = _ROWS if _ROWS.admit(seed, len(drawn) * n_samples * 8) else None
 
     def fill(spans) -> None:
-        # one scratch block and one (n, chunk) block of values per caller,
+        # one scratch block and one block of value rows per caller,
         # rewritten chunk by chunk where the row store does not serve a row
         width = max(hi - lo for lo, hi in spans)
-        block = _scratch(3 + profile.n, width)
+        block = _scratch(3 + len(drawn), width)
         scratch, v = block[:3], block[3:]
         for lo, hi in spans:
             vals, seg = zip(*(_value_row(rows, seed, i, c, lo, hi, scratch, v[i])
-                              for i, c in enumerate(curves)))
-            ch = _Chunk(vals, seg, seed, lo, hi, rows)
-            out[lo:hi] = kernel(curves, constraint, ch, params)
+                              for i, c in enumerate(drawn)))
+            out[lo:hi] = kernel(curves, constraint, _Chunk(vals, seg, lo, hi), params)
 
     # Chunks start at multiples of _CHUNK, and a remainder shorter than half
     # a chunk joins the chunk before it, so no call ends on a sliver.
@@ -600,9 +604,13 @@ def sample_revenues(
     return out
 
 
-def _default_estimator(*profiles: cv.BidderProfile) -> str:
-    """Median-of-means when any profile has an unbounded curve, else plain."""
-    return MEDIAN_OF_MEANS if any(cv.has_unbounded(p) for p in profiles) else PLAIN
+def _estimator(estimator: str, *profiles: cv.BidderProfile) -> str:
+    """The estimator named, or by default median-of-means when any profile
+    has an unbounded curve, else plain; callers resolve it before drawing,
+    so an unknown name costs no samples."""
+    if estimator not in ("", *ESTIMATORS):
+        raise DomainError(f"unknown estimator {estimator!r}")
+    return estimator or (MEDIAN_OF_MEANS if any(map(cv.has_unbounded, profiles)) else PLAIN)
 
 
 def _block_means(rev: np.ndarray, blocks: int) -> np.ndarray:
@@ -630,18 +638,17 @@ def _median(a: np.ndarray) -> float:
 
 
 def _summarize(rev: np.ndarray, seed: int, estimator: str) -> Estimate:
+    """The Estimate of rev under estimator, one of ESTIMATORS."""
     n = rev.shape[0]
     if estimator == PLAIN:
         mean = float(rev.mean())
         stderr = float(rev.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         return Estimate(mean, stderr, n, seed, PLAIN)
-    if estimator == MEDIAN_OF_MEANS:
-        blocks = math.isqrt(n - 1) + 1 if n > 1 else 1
-        means = _block_means(rev, blocks)
-        mean = _median(means)
-        stderr = float(means.std(ddof=1) / math.sqrt(blocks)) if blocks > 1 else 0.0
-        return Estimate(mean, stderr, n, seed, MEDIAN_OF_MEANS, blocks)
-    raise DomainError(f"unknown estimator {estimator!r}")
+    blocks = math.isqrt(n - 1) + 1 if n > 1 else 1
+    means = _block_means(rev, blocks)
+    mean = _median(means)
+    stderr = float(means.std(ddof=1) / math.sqrt(blocks)) if blocks > 1 else 0.0
+    return Estimate(mean, stderr, n, seed, MEDIAN_OF_MEANS, blocks)
 
 
 def estimate_revenue(
@@ -660,8 +667,9 @@ def estimate_revenue(
     any curve has unbounded support (their order statistics have heavy
     tails and plain CLT error bars are untrustworthy), else plain mean.
     """
+    estimator = _estimator(estimator, profile)
     rev = sample_revenues(profile, constraint, mechanism, n_samples, seed, workers, **params)
-    return _summarize(rev, seed, estimator or _default_estimator(profile))
+    return _summarize(rev, seed, estimator)
 
 
 def paired_compare(
@@ -684,10 +692,10 @@ def paired_compare(
     """
     if profile_a.curves[0] != profile_b.curves[0]:
         raise ProfileMismatch("profiles must share a common original prefix")
+    estimator = _estimator(estimator, profile_a, profile_b)
     rev_a = sample_revenues(profile_a, constraint_a, mechanism, n_samples, seed, workers, **params)
     rev_b = sample_revenues(profile_b, constraint_b, mechanism, n_samples, seed, workers, **params)
-    est = estimator or _default_estimator(profile_a, profile_b)
-    return _summarize(np.subtract(rev_a, rev_b, out=rev_a), seed, est)
+    return _summarize(np.subtract(rev_a, rev_b, out=rev_a), seed, estimator)
 
 
 def _tail_prob(profile: cv.BidderProfile, r: int, t: float) -> float:

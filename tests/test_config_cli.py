@@ -12,10 +12,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dupkit import config as cfg
+from dupkit import cli, config as cfg
 from dupkit.cli import main
 from dupkit.examples import example_n3
-from dupkit.errors import ConcavityViolation, HypothesisViolated, ParseError
+from dupkit.errors import (
+    ConcavityViolation,
+    DominanceViolation,
+    DupkitError,
+    HypothesisViolated,
+    LemmaViolation,
+    NonConvergence,
+    ParseError,
+    UnboundedExpectation,
+)
 from dupkit.mechanisms import NO_CONSTRAINT
 from dupkit.simulate import estimate_revenue
 
@@ -224,6 +233,29 @@ def test_cli_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["no-such-command"])
     capsys.readouterr()
+
+
+def _error_classes(cls=DupkitError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+# the classes that report a failed check or certified claim; the rest are
+# usage errors
+_EXIT_1 = {LemmaViolation, NonConvergence, UnboundedExpectation, DominanceViolation}
+
+
+@pytest.mark.parametrize("error", list(_error_classes()), ids=lambda c: c.__name__)
+def test_cli_exit_code_follows_error_class(monkeypatch, capsys, error):
+    def handler(args):
+        raise error("raised by the handler")
+
+    monkeypatch.setitem(cli._HANDLERS, "examples", handler)
+    assert main(["examples", "lbhr"]) == error.exit_code == (1 if error in _EXIT_1 else 2)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": error.__name__, "detail": "raised by the handler"}
 
 
 @pytest.mark.parametrize("mechanism", ["vcg", "vcg_constrained"])

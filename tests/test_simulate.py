@@ -99,7 +99,10 @@ def _scalar_revenues(profile, constraint, mechanism, n, seed, **params):
 
 # Each case is a mechanism on random profiles, or on one fixed profile.  On
 # "myerson-point-mass-floor" many point-mass draws read one ulp under the
-# atom's value, which is also the curve's support floor.
+# atom's value, which is also the curve's support floor.  The kernels read
+# the values cv.sample_value gives, bit for bit, so revenues agree to the
+# byte, except where the scalar reference computes payments another way:
+# myerson's by bisection and vcg_constrained's by an fsum of externalities.
 _KERNEL_CASES = {
     **{m: (m, None) for m in ["spa", "vcg", "vcg_constrained", "myerson",
                               "lookahead", "spald", "posted"]},
@@ -123,7 +126,32 @@ def test_kernels_match_scalar_mechanisms(mechanism, fixed):
             params["prices"] = [round(rng.uniform(0, 2), 2) for _ in range(n)]
         fast = sample_revenues(prof, constraint, mechanism, 257, seed=trial, **params)
         slow = _scalar_revenues(prof, constraint, mechanism, 257, seed=trial, **params)
-        np.testing.assert_allclose(fast, slow, atol=1e-9)
+        if mechanism in ("myerson", "vcg_constrained"):
+            np.testing.assert_allclose(fast, slow, atol=1e-9)
+        else:
+            assert fast.tobytes() == slow.tobytes()
+
+
+def test_fill_rows_are_scalar_sample_values(monkeypatch):
+    # every row fill hands a kernel, spald's late-duplicate rows n..2n-1
+    # included, holds cv.sample_value of its uniforms, bit for bit
+    curves = [cv.make_triangle(0.4, 0.6), cv.make_triangle(1.0, 0.7), cv.make_point_mass(0.8),
+              cv.make_piecewise([(0.0, 0.0), (0.2, 0.3), (0.6, 0.5), (1.0, 0.2)]),
+              cv.make_equal_revenue(0.7)]
+    n, n_samples, seed = len(curves), 100_000, 5
+    seen = np.full((2 * n, n_samples), np.nan)
+
+    def capture(curves, constraint, ch, params):
+        assert len(ch.v) == 2 * n
+        seen[:, ch.lo : ch.hi] = ch.v
+        return np.zeros(ch.hi - ch.lo)
+
+    monkeypatch.setitem(simulate._MECHANISMS, "spald", capture)
+    sample_revenues(cv.make_profile(curves), NO_CONSTRAINT, "spald", n_samples, seed)
+    for i, row in enumerate(seen):
+        c = curves[i % n]
+        want = [cv.sample_value(c, u) for u in uniforms(seed, i, 0, n_samples).tolist()]
+        assert row.tobytes() == np.array(want).tobytes(), (i, c)
 
 
 # sha256 of sample_revenues(...).tobytes() over 70_001 draws (one full
@@ -298,7 +326,7 @@ def test_vcg_constrained_matches_stable_argsort(columns, n_pairs, k):
     n_pairs = min(n_pairs, v.shape[0] // 2)
     constraint = PairConstraint(tuple((2 * p, 2 * p + 1) for p in range(n_pairs)))
     before = v.copy()
-    got = _rev_vcg_constrained(None, constraint, _Chunk(v, [], 0, 0, v.shape[1]), {"k": k})
+    got = _rev_vcg_constrained(None, constraint, _Chunk(v, [], 0, v.shape[1]), {"k": k})
     want = _vcg_constrained_by_argsort(v, constraint, k)
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(v, before)
@@ -336,6 +364,18 @@ def test_unknown_mechanism():
     with pytest.raises(DomainError):
         sample_revenues(prof, NO_CONSTRAINT, "english", 10, 0)
     assert "spa" in mechanism_names() and "vcg" in mechanism_names()
+
+
+def test_unknown_estimator_refused_before_sampling(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled before checking the estimator")
+
+    monkeypatch.setattr(simulate, "sample_revenues", no_draws)
+    prof = cv.make_profile([cv.make_triangle(0.5, 0.5)] * 2)
+    with pytest.raises(DomainError, match="unknown estimator"):
+        estimate_revenue(prof, NO_CONSTRAINT, "spa", 2_000_000, 0, "bogus")
+    with pytest.raises(DomainError, match="unknown estimator"):
+        paired_compare(prof, prof, NO_CONSTRAINT, NO_CONSTRAINT, "spa", 2_000_000, 0, "bogus")
 
 
 def test_paired_compare_identical_is_zero():
