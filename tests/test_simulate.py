@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from dupkit import curves as cv, simulate
 from dupkit.duplication import all_once, extend_profile, k_copies_of, set_once
-from dupkit.errors import DomainError, ProfileMismatch, UnboundedExpectation
+from dupkit.errors import DomainError, NonConvergence, ProfileMismatch, UnboundedExpectation
 from dupkit.examples import lbhr_profile, n3_profile
-from dupkit.instances import random_profile
+from dupkit.instances import random_concave_curve, random_profile, random_triangle
 from dupkit.mechanisms import (
     NO_CONSTRAINT,
     PairConstraint,
@@ -429,6 +429,59 @@ def test_order_stat_tolerance_scaling():
     coarse = expected_order_stat(prof, 2, tol=1e-6)
     fine = expected_order_stat(prof, 2, tol=1e-10)
     assert coarse == pytest.approx(fine, abs=5e-6)
+
+
+def _quadrature_calls():
+    """(profile, r, tol) for the quadrature digest: lb-HR variants, n3's six
+    bidders and 40 seeded random profiles (n 1-24, r 1-4, tol 1e-6 and 1e-8),
+    then 3 second-highest calls at tol 1e-12 that raise NonConvergence."""
+    base = lbhr_profile()
+    both, _ = extend_profile(base, all_once())
+    for prof in (both, cv.make_profile([*base.curves, base.curves[0]]),
+                 cv.make_profile([*base.curves, base.curves[1]])):
+        yield prof, 2, 1e-8
+        yield prof, 3, 1e-8
+    six, _ = extend_profile(n3_profile(), all_once())
+    yield six, 2, 1e-8
+    rng = random.Random(1905)
+    for i in range(43):
+        n = (24, 1)[i] if i < 2 else rng.randint(1 + (i >= 40), 20)
+        curves = []
+        for _ in range(n):
+            kind = rng.random()
+            if i % 2 and kind < 0.3:
+                curves.append(cv.make_equal_revenue(rng.uniform(0.1, 1.0)))
+            elif kind < 0.6:
+                curves.append(random_triangle(rng))
+            elif kind < 0.9:
+                curves.append(random_concave_curve(rng))
+            else:
+                curves.append(cv.make_point_mass(rng.uniform(0.0, 1.0)))
+        if n < 24 and rng.random() < 0.4:  # repeated curves, as duplicates make them
+            curves += curves[: rng.randint(1, min(n, 24 - n))]
+        if i >= 40:
+            yield cv.make_profile(curves), 2, 1e-12
+        else:
+            yield cv.make_profile(curves), rng.randint(1, 4), rng.choice((1e-6, 1e-8))
+
+
+# sha256 of the packed expected_order_stat values of _quadrature_calls, with
+# -1.0 for NonConvergence and -2.0 for UnboundedExpectation.  Recorded from
+# the node-by-node recursive Simpson rule; any rewrite must keep every bit.
+_QUADRATURE_GOLDEN = "c0c14bd15e932db1c16c221cd8c29f776ac03a29176ed82a13fda41c81144a41"
+
+
+def test_quadrature_golden_digest():
+    out = []
+    for prof, r, tol in _quadrature_calls():
+        try:
+            out.append(expected_order_stat(prof, r, tol))
+        except NonConvergence:
+            out.append(-1.0)
+        except UnboundedExpectation:
+            out.append(-2.0)
+    assert out.count(-1.0) == 3
+    assert hashlib.sha256(struct.pack(f"<{len(out)}d", *out)).hexdigest() == _QUADRATURE_GOLDEN
 
 
 def test_quadrature_matches_mc():
