@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import curves as cv
 from .errors import DomainError, HypothesisViolated, LemmaViolation
 from .exante import ExAnteSolution
@@ -57,6 +59,32 @@ def poisson_binomial(probs) -> PoissonBinomial:
             nxt[s + 1] += mass * p
         pmf = nxt
     return PoissonBinomial(ps, tuple(pmf))
+
+
+def poisson_binomial_rows(probs) -> np.ndarray:
+    """The pmf of every row of an (m, n) probability array, as an (m, n+1) array.
+
+    Row i equals poisson_binomial(probs[i]).pmf bit for bit: each step sets
+    element s to pmf[s-1]*p + pmf[s]*(1-p), the scalar convolution's
+    products and sum, for all rows at once.  The array is worked on
+    transposed, one contiguous row per bidder, and at full width: the
+    entries past the current count are zeros, which add exactly 0.0.
+    """
+    p = np.asarray(probs, dtype=float)
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both
+        raise DomainError(f"probability {p[~((p >= 0.0) & (p <= 1.0))][0]} outside [0,1]")
+    m, n = p.shape
+    p = np.ascontiguousarray(p.T)
+    stay = 1.0 - p
+    pmf = np.zeros((n + 1, m))
+    pmf[0] = 1.0
+    up = np.empty((n, m))
+    below, above = pmf[:-1], pmf[1:]
+    for i in range(n):
+        np.multiply(below, p[i], out=up)
+        np.multiply(pmf, stay[i], out=pmf)
+        np.add(above, up, out=above)
+    return pmf.T
 
 
 def median_lower_bound_check(probs) -> bool:

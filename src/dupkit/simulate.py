@@ -37,8 +37,17 @@ reduces each draw's column on its own, neither the chunk size nor a store
 hit changes any result.
 
 Quadrature integrates Pr[at least r bids >= t] over t via the substitution
-t = u/(1-u), which compresses the heavy 1/t^2 tails of unbounded curves onto
-[0,1]; the integrand at each node is an exact Poisson-binomial tail.
+t = x/(1-x), which compresses the heavy 1/t^2 tails of unbounded curves onto
+[0,1]; the integrand at each node is an exact Poisson-binomial tail.  The
+adaptive Simpson rule (_simpson_batches) keeps its pending intervals on a
+stack in the recursion's order and takes up to _SIMPSON_BATCH of them off
+the top per batch, so a branch that cannot converge reaches the depth limit
+within about 51 batches.  A batch evaluates all its nodes in one pass: one
+quantile array per distinct curve (_quantiles_of_values), then one
+(nodes, n+1) pmf array (analysis.poisson_binomial_rows).  Both repeat the
+scalar operations in the scalar order, and the tree is summed as the
+recursion sums it, so every value is bit-identical to node-by-node
+evaluation; batching only saves interpreter work.
 """
 
 from __future__ import annotations
@@ -49,13 +58,14 @@ import math
 import numbers
 import threading
 from collections import OrderedDict
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import curves as cv
-from .analysis import poisson_binomial
+from .analysis import poisson_binomial_rows
 from .errors import (
     DomainError,
     NonConvergence,
@@ -85,6 +95,8 @@ _CHUNK = 1 << 14
 _ROW_BUDGET = 6 << 20
 # Largest per-thread scratch block kept between sampling calls, in bytes.
 _SCRATCH_KEEP = 4 << 20
+# intervals per batch of the adaptive Simpson rule (_simpson_batches)
+_SIMPSON_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -194,6 +206,41 @@ def _values(curve: cv.RevenueCurve, q: np.ndarray, seg, out: np.ndarray,
         np.take(t.r_arr, seg, out=gathered, mode="clip")
         np.add(gathered, out, out=out)
     return np.divide(out, q, out=out)
+
+
+def _quantiles_of_values(tables) -> Callable[[np.ndarray], np.ndarray]:
+    """A function of values v >= 0 whose row k is cv.quantile_of_value(curve k, v).
+
+    The rows are bit for bit the scalar's: segment j of every curve is
+    scanned in the scalar order, each value taking c/(v - slope) from the
+    first segment whose right-end value it exceeds; then values above the
+    ceiling read 0 and values at or below the floor 1, the floor winning as
+    the scalar's first test does.  A curve with fewer segments is padded
+    with segments whose right-end value is inf, which no value exceeds.
+    """
+    width = max(len(t.segments) for t in tables)
+    never = (0.0, 1.0, math.inf, 0.0)
+    scan = []
+    for col in zip(*(t.segments + (never,) * (width - len(t.segments)) for t in tables)):
+        scan.append(tuple(np.array(x)[:, None] for x in zip(*(
+            (slope + c / q1, slope, c) for _, q1, slope, c in col))))
+    ceiling = np.array([t.ceiling for t in tables])[:, None]
+    floor = np.array([t.floor for t in tables])[:, None]
+
+    def quantiles(v: np.ndarray) -> np.ndarray:
+        q = np.ones((len(tables), v.shape[0]))
+        open_ = np.ones(q.shape, dtype=bool)
+        hit = np.empty(q.shape, dtype=bool)
+        for v_hi, slope, c in scan:
+            np.greater(v, v_hi, out=hit)
+            hit &= open_
+            np.divide(c, v - slope, out=q, where=hit)
+            open_ &= ~hit
+        q[v > ceiling] = 0.0
+        q[v <= floor] = 1.0
+        return q
+
+    return quantiles
 
 
 def _phi(t: cv.CurveTable, seg, out: np.ndarray) -> np.ndarray:
@@ -698,24 +745,51 @@ def paired_compare(
     return _summarize(np.subtract(rev_a, rev_b, out=rev_a), seed, estimator)
 
 
-def _tail_prob(profile: cv.BidderProfile, r: int, t: float) -> float:
-    probs = [cv.quantile_of_value(c, t) for c in profile.curves]
-    return poisson_binomial(probs).tail_at_least(r)
+def _simpson_batches(g, panels, tol: float) -> list:
+    """Adaptive Simpson on each panel (a, b, fa, fm, fb, whole); returns the panel integrals.
 
-
-def _adaptive_simpson(g, a, b, fa, fm, fb, whole, tol, depth):
-    if depth > 50:
-        raise NonConvergence("quadrature failed to reach tolerance")
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = g(lm), g(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _adaptive_simpson(g, a, m, fa, flm, fm, left, tol / 2.0, depth + 1) + _adaptive_simpson(
-        g, m, b, fm, frm, fb, right, tol / 2.0, depth + 1
-    )
+    The rule is the classic recursive one: split [a, b] at m, accept when
+    |left + right - whole| <= 15*tol with the value left + right +
+    (left + right - whole)/15, else recurse on both halves with tol/2, and
+    raise NonConvergence when a split would reach depth 51.  Pending
+    intervals sit on a stack in the recursion's order, its next on top;
+    each batch takes up to _SIMPSON_BATCH of them off its top, evaluates g at
+    their 2 new nodes in one call and pushes the unaccepted halves back, so a
+    branch that cannot converge reaches depth 51 within about 51 batches.
+    The tree is then folded as the recursion adds: each split is its left
+    subtotal plus its right subtotal.
+    """
+    # kids[i]: interval i's leaf value (a float) or its halves' ids (a tuple)
+    kids = [None] * len(panels)
+    stack = [(i, *panel, tol, 0) for i, panel in enumerate(panels)][::-1]
+    while stack:
+        batch = stack[-_SIMPSON_BATCH:]
+        del stack[-_SIMPSON_BATCH:]
+        nodes = []
+        for _, a, b, *_ in batch:
+            m = 0.5 * (a + b)
+            nodes += (0.5 * (a + m), 0.5 * (m + b))
+        f = g(nodes)
+        for (i, a, b, fa, fm, fb, whole, tol_i, depth), flm, frm in zip(batch, f[::2], f[1::2]):
+            m = 0.5 * (a + b)
+            left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+            right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+            if abs(left + right - whole) <= 15.0 * tol_i:
+                kids[i] = left + right + (left + right - whole) / 15.0
+                continue
+            if depth >= 50:
+                raise NonConvergence("quadrature failed to reach tolerance")
+            lo, hi = len(kids), len(kids) + 1
+            kids[i] = (lo, hi)
+            kids += (None, None)
+            stack.append((hi, m, b, fm, frm, fb, right, tol_i / 2.0, depth + 1))
+            stack.append((lo, a, m, fa, flm, fm, left, tol_i / 2.0, depth + 1))
+    # halves always come after their parent, so a reverse sweep folds bottom up
+    for i in range(len(kids) - 1, -1, -1):
+        if type(kids[i]) is tuple:
+            lo, hi = kids[i]
+            kids[i] = kids[lo] + kids[hi]
+    return kids[: len(panels)]
 
 
 def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) -> float:
@@ -741,11 +815,20 @@ def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) ->
     else:
         limit_at_one = 0.0
 
-    def g(x: float) -> float:
-        if x >= 1.0:
-            return limit_at_one
-        t = x / (1.0 - x)
-        return _tail_prob(profile, r, t) / ((1.0 - x) * (1.0 - x))
+    # one quantile row per distinct curve; bidder j's probabilities are row rows[j]
+    tables = {c.table.key: c.table for c in profile.curves}
+    slot = {key: j for j, key in enumerate(tables)}
+    rows = [slot[c.table.key] for c in profile.curves]
+    quantiles = _quantiles_of_values(list(tables.values()))
+
+    def g(xs: list) -> list:
+        """Pr[at least r values >= x/(1-x)] / (1-x)^2 at every node of xs."""
+        inner = [x for x in xs if x < 1.0]
+        u = np.array(inner)
+        probs = quantiles(u / (1.0 - u))[rows]
+        tails = poisson_binomial_rows(probs.T)[:, r:].tolist()
+        f = iter([math.fsum(row) / ((1.0 - x) * (1.0 - x)) for row, x in zip(tails, inner)])
+        return [next(f) if x < 1.0 else limit_at_one for x in xs]
 
     cuts = {0.0, 1.0}
     for c in profile.curves:
@@ -753,17 +836,21 @@ def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) ->
             cuts.add(v / (1.0 + v))
     grid = sorted(cuts)
     panel_tol = tol / (len(grid) - 1)
-    total = 0.0
+    # tail() jumps at atom values, which is exactly where the cuts sit;
+    # endpoint nodes are nudged into the panel interior so each panel
+    # integrates its own smooth piece (one-sided limits at the cuts).
+    nodes = []
     for a, b in zip(grid, grid[1:]):
-        # tail() jumps at atom values, which is exactly where the cuts sit;
-        # endpoint nodes are nudged into the panel interior so each panel
-        # integrates its own smooth piece (one-sided limits at the cuts).
         shift = (b - a) * 1e-9
-        fa, fb = g(a + shift), g(b - shift)
-        m = 0.5 * (a + b)
-        fm = g(m)
-        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        total += _adaptive_simpson(g, a, b, fa, fm, fb, whole, panel_tol, 0)
+        nodes += (a + shift, b - shift, 0.5 * (a + b))
+    f = g(nodes)
+    panels = []
+    for (a, b), fa, fb, fm in zip(zip(grid, grid[1:]), f[::3], f[1::3], f[2::3]):
+        panels.append((a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb)))
+    # in order from 0.0, as the recursion summed (sum() compensates on Python >= 3.12)
+    total = 0.0
+    for value in _simpson_batches(g, panels, panel_tol):
+        total += value
     return total
 
 

@@ -26,7 +26,7 @@ from .duplication import (
     single_of,
 )
 from .errors import LemmaViolation
-from .examples import example_lbhr, example_n3, lbhr_profile, min_ratio_two_triangles
+from .examples import example_lbhr, example_n3, lbhr_profile, min_ratio_two_triangles, n3_profile
 from .exante import solve_exante
 from .instances import random_concave_curve, random_profile, random_triangle
 from .mechanisms import NO_CONSTRAINT
@@ -382,12 +382,16 @@ def criterion_7(seed: int = 0, n_tuples: int = 10_000) -> CriterionResult:
 
 
 def criterion_8(seed: int = 0, n_samples: int = 1_000_000) -> CriterionResult:
-    """Example n=3: six-bidder SPA certified strictly below 1.5."""
+    """Example n=3: six-bidder SPA certified strictly below 1.5 by Monte Carlo and quadrature."""
     t0 = time.perf_counter()
     opt, est = example_n3(n_samples, seed + 7)
     upper = est.mean + 4.0 * est.stderr
-    ok = abs(opt - 2.0) <= 1e-9 and upper < 1.5
-    detail = f"opt={opt:.12f} spa6={est.mean:.5f}+4se={upper:.5f} (< 1.5 required)"
+    exact = mechanism_revenue_quadrature(_all_dups(n3_profile()), k=1)
+    ok = abs(opt - 2.0) <= 1e-9 and upper < 1.5 and exact < 1.5
+    detail = (
+        f"opt={opt:.12f} spa6={est.mean:.5f}+4se={upper:.5f} (< 1.5 required); "
+        f"quadrature spa6={exact:.8f} (< 1.5 required)"
+    )
     return CriterionResult(8, "n3-strict-gap", ok, detail, time.perf_counter() - t0)
 
 

@@ -1,8 +1,9 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dupkit import analysis, curves as cv
 from dupkit.errors import DomainError, HypothesisViolated
@@ -36,6 +37,26 @@ def test_poisson_binomial_hand_values():
 def test_poisson_binomial_matches_enumeration(probs):
     pb = analysis.poisson_binomial(probs)
     assert list(pb.pmf) == pytest.approx(brute_pmf(probs), abs=1e-12)
+
+
+_prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 24).flatmap(
+    lambda n: st.lists(st.lists(_prob, min_size=n, max_size=n), min_size=1, max_size=8)))
+def test_poisson_binomial_rows_match_scalar(rows):
+    got = analysis.poisson_binomial_rows(np.array(rows))
+    assert got.shape == (len(rows), len(rows[0]) + 1)
+    for probs, pmf in zip(rows, got):
+        assert np.array(analysis.poisson_binomial(probs).pmf).tobytes() == pmf.tobytes()
+
+
+def test_poisson_binomial_rows_refuse_bad_probabilities():
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(DomainError):
+            analysis.poisson_binomial_rows(np.array([[0.5, 0.5], [0.2, bad]]))
+    assert analysis.poisson_binomial_rows(np.empty((0, 3))).shape == (0, 4)
 
 
 def test_median_lower_bound():

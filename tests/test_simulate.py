@@ -484,6 +484,65 @@ def test_quadrature_golden_digest():
     assert hashlib.sha256(struct.pack(f"<{len(out)}d", *out)).hexdigest() == _QUADRATURE_GOLDEN
 
 
+def test_quadrature_nonconvergence_is_bounded(monkeypatch):
+    # a branch that cannot reach tol 1e-300 must raise within about 51
+    # batches, not after the ~2^51 nodes of a breadth-first sweep
+    evals = []
+    rows = simulate.poisson_binomial_rows
+    monkeypatch.setattr(simulate, "poisson_binomial_rows",
+                        lambda probs: evals.append(len(probs)) or rows(probs))
+    prof = random_profile(24, random.Random(5))
+    with pytest.raises(NonConvergence):
+        expected_order_stat(prof, 2, tol=1e-300)
+    assert 0 < sum(evals) < 20_000
+
+
+def _probe_values(curve):
+    """0, the floor, the ceiling, every segment's end values, their float
+    neighbours and values above the ceiling."""
+    t = curve.table
+    ends = [v for _, q1, slope, c in t.segments for v in (slope + c / q1, cv.value(curve, q1))]
+    ends += [cv.value(curve, q) for q in t.qs if q > 0.0 or not curve.scale]
+    vals = [0.0, t.floor, t.ceiling, *ends]
+    vals += [math.nextafter(v, d) for v in vals for d in (-math.inf, math.inf)]
+    top = max(v for v in vals if math.isfinite(v))
+    vals += [top * 2.0 + 1.0, 1e300]
+    return np.array([v for v in vals if 0.0 <= v < math.inf])
+
+
+_curve_kinds = st.sampled_from(["triangle", "peak1", "piecewise", "point", "zero", "er"])
+
+
+@st.composite
+def _curves(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(_curve_kinds)
+    if kind == "triangle":
+        return random_triangle(rng)
+    if kind == "peak1":
+        return cv.make_triangle(1.0, rng.uniform(0.1, 2.0))
+    if kind == "piecewise":
+        return random_concave_curve(rng, max_kinks=4)
+    if kind == "point":
+        return cv.make_point_mass(rng.uniform(0.0, 2.0))
+    if kind == "zero":
+        return cv.make_point_mass(0.0)
+    return cv.make_equal_revenue(rng.uniform(0.1, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_curves(), min_size=1, max_size=6),
+       st.lists(st.floats(0.0, 50.0), max_size=20))
+def test_quantiles_of_values_match_scalar(curves, extra):
+    tables = [c.table for c in curves]
+    v = np.concatenate([_probe_values(c) for c in curves] + [np.array(extra, dtype=float)])
+    got = simulate._quantiles_of_values(tables)(v)
+    assert got.shape == (len(curves), len(v))
+    for c, row in zip(curves, got):
+        want = [cv.quantile_of_value(c, x) for x in v.tolist()]
+        assert np.array(want).tobytes() == row.tobytes()
+
+
 def test_quadrature_matches_mc():
     rng = random.Random(31)
     for trial in range(4):
