@@ -214,22 +214,35 @@ def value(curve: RevenueCurve, q: float, allow_infinite: bool = False) -> float:
     return rev(curve, q) / q
 
 
-def quantile_of_value(curve: RevenueCurve, v: float) -> float:
-    """Sale probability q(v) = Pr[value >= v]: largest q with value(q) >= v."""
-    if v < 0.0:
-        raise DomainError(f"value must be >= 0, got {v}")
+def value_piece(curve: RevenueCurve, v: float) -> float | tuple[float, float]:
+    """The piece of q(.) = Pr[value >= .] that holds the value v >= 0.
+
+    Inside the support q(v) = c/(v - slope) on one segment, returned as
+    (slope, c); at or below the floor q is 1.0 and above the ceiling 0.0,
+    returned as that float.  The piece changes only at kink_values.
+    """
     t = curve.table
     if v <= t.floor:
         return 1.0
     if v > t.ceiling:
         return 0.0
     for q0, q1, slope, c in t.segments:
-        v_hi = slope + c / q1  # value at the right end, the segment minimum
-        if v > v_hi:
-            # v==slope cannot occur here: that needs c==0, making the
-            # segment's value constant and v > v_hi == slope impossible.
-            return c / (v - slope)
+        if v > slope + c / q1:  # the value at the right end, the segment minimum
+            return slope, c
     return 1.0
+
+
+def quantile_of_value(curve: RevenueCurve, v: float) -> float:
+    """Sale probability q(v) = Pr[value >= v]: largest q with value(q) >= v."""
+    if v < 0.0:
+        raise DomainError(f"value must be >= 0, got {v}")
+    piece = value_piece(curve, v)
+    if isinstance(piece, float):
+        return piece
+    slope, c = piece
+    # v==slope cannot occur here: that needs c==0, making the segment's
+    # value constant, and value_piece returns it only for v > slope + c/q1 == slope.
+    return c / (v - slope)
 
 
 def quantile_lower_of_value(curve: RevenueCurve, v: float) -> float:
@@ -302,7 +315,8 @@ def sample_value(curve: RevenueCurve, u: float) -> float:
 def kink_values(curve: RevenueCurve) -> tuple[float, ...]:
     """Finite values where q(v) kinks or jumps (atom and breakpoint values).
 
-    Quadrature splits integration panels here so each panel is smooth.
+    Between two consecutive kink values q(v) is one value_piece, so
+    quadrature cuts its panels here and reads each panel's piece once.
     """
     if curve.scale:
         return (curve.scale,)

@@ -36,18 +36,16 @@ holds the bits the same request would compute, and since every kernel
 reduces each draw's column on its own, neither the chunk size nor a store
 hit changes any result.
 
-Quadrature integrates Pr[at least r bids >= t] over t via the substitution
-t = x/(1-x), which compresses the heavy 1/t^2 tails of unbounded curves onto
-[0,1]; the integrand at each node is an exact Poisson-binomial tail.  The
-adaptive Simpson rule (_simpson_batches) keeps its pending intervals on a
-stack in the recursion's order and takes up to _SIMPSON_BATCH of them off
-the top per batch, so a branch that cannot converge reaches the depth limit
-within about 51 batches.  A batch evaluates all its nodes in one pass: one
-quantile array per distinct curve (_quantiles_of_values), then one
-(nodes, n+1) pmf array (analysis.poisson_binomial_rows).  Both repeat the
-scalar operations in the scalar order, and the tree is summed as the
-recursion sums it, so every value is bit-identical to node-by-node
-evaluation; batching only saves interpreter work.
+Quadrature integrates Pr[at least r bids >= t] over t >= 0 on panels cut
+at every kink value, so that on each panel every bidder's sale probability
+is one curve piece (cv.value_piece) and the integrand, an exact
+Poisson-binomial tail, is smooth.  Finite panels are integrated in t and
+the last, [t_max, inf), in s on [0, 1) with t = t_max + s/(1-s), which
+compresses the heavy 1/t^2 tails of unbounded curves.  Each panel runs
+adaptive 7-15 point Gauss-Kronrod; a round evaluates the nodes of every
+pending interval in one analysis.poisson_binomial_rows call, and a cap on
+the number of intervals (_MAX_INTERVALS) bounds a call that cannot reach
+its tolerance.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ import math
 import numbers
 import threading
 from collections import OrderedDict
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -95,8 +92,31 @@ _CHUNK = 1 << 14
 _ROW_BUDGET = 6 << 20
 # Largest per-thread scratch block kept between sampling calls, in bytes.
 _SCRATCH_KEEP = 4 << 20
-# intervals per batch of the adaptive Simpson rule (_simpson_batches)
-_SIMPSON_BATCH = 128
+# The 7-15 point Gauss-Kronrod rule on [-1, 1] (Kronrod 1965; the qk15
+# table of QUADPACK, Piessens et al. 1983), for the nodes x >= 0 from the
+# outside in.  Rows: the nodes, their Kronrod weights and their Gauss
+# weights; every other node is a 7-point Gauss-Legendre node, and the rest
+# have Gauss weight 0.  A node -x has the weights of x.
+_GK15 = np.array([
+    [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+     0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+     0.207784955007898467600689403773245, 0.0],
+    [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+     0.204432940075298892414161999234649, 0.209482141084727828012999174891714],
+    [0.0, 0.129484966168869693270611432679082,
+     0.0, 0.279705391489276667901467771423780,
+     0.0, 0.381830050505118944950369775488975,
+     0.0, 0.417959183673469387755102040816327],
+])
+# all 15 nodes in ascending order, with their Kronrod and Gauss weights
+_GK_NODES, _GK_KRONROD, _GK_GAUSS = np.hstack(
+    [_GK15[:, :-1] * [[-1.0], [1.0], [1.0]], _GK15[:, ::-1]])
+# Intervals that halving may make in one quadrature call, over all panels;
+# a call that needs more raises NonConvergence.
+_MAX_INTERVALS = 1000
 
 
 @dataclass(frozen=True)
@@ -206,41 +226,6 @@ def _values(curve: cv.RevenueCurve, q: np.ndarray, seg, out: np.ndarray,
         np.take(t.r_arr, seg, out=gathered, mode="clip")
         np.add(gathered, out, out=out)
     return np.divide(out, q, out=out)
-
-
-def _quantiles_of_values(tables) -> Callable[[np.ndarray], np.ndarray]:
-    """A function of values v >= 0 whose row k is cv.quantile_of_value(curve k, v).
-
-    The rows are bit for bit the scalar's: segment j of every curve is
-    scanned in the scalar order, each value taking c/(v - slope) from the
-    first segment whose right-end value it exceeds; then values above the
-    ceiling read 0 and values at or below the floor 1, the floor winning as
-    the scalar's first test does.  A curve with fewer segments is padded
-    with segments whose right-end value is inf, which no value exceeds.
-    """
-    width = max(len(t.segments) for t in tables)
-    never = (0.0, 1.0, math.inf, 0.0)
-    scan = []
-    for col in zip(*(t.segments + (never,) * (width - len(t.segments)) for t in tables)):
-        scan.append(tuple(np.array(x)[:, None] for x in zip(*(
-            (slope + c / q1, slope, c) for _, q1, slope, c in col))))
-    ceiling = np.array([t.ceiling for t in tables])[:, None]
-    floor = np.array([t.floor for t in tables])[:, None]
-
-    def quantiles(v: np.ndarray) -> np.ndarray:
-        q = np.ones((len(tables), v.shape[0]))
-        open_ = np.ones(q.shape, dtype=bool)
-        hit = np.empty(q.shape, dtype=bool)
-        for v_hi, slope, c in scan:
-            np.greater(v, v_hi, out=hit)
-            hit &= open_
-            np.divide(c, v - slope, out=q, where=hit)
-            open_ &= ~hit
-        q[v > ceiling] = 0.0
-        q[v <= floor] = 1.0
-        return q
-
-    return quantiles
 
 
 def _phi(t: cv.CurveTable, seg, out: np.ndarray) -> np.ndarray:
@@ -745,59 +730,23 @@ def paired_compare(
     return _summarize(np.subtract(rev_a, rev_b, out=rev_a), seed, estimator)
 
 
-def _simpson_batches(g, panels, tol: float) -> list:
-    """Adaptive Simpson on each panel (a, b, fa, fm, fb, whole); returns the panel integrals.
-
-    The rule is the classic recursive one: split [a, b] at m, accept when
-    |left + right - whole| <= 15*tol with the value left + right +
-    (left + right - whole)/15, else recurse on both halves with tol/2, and
-    raise NonConvergence when a split would reach depth 51.  Pending
-    intervals sit on a stack in the recursion's order, its next on top;
-    each batch takes up to _SIMPSON_BATCH of them off its top, evaluates g at
-    their 2 new nodes in one call and pushes the unaccepted halves back, so a
-    branch that cannot converge reaches depth 51 within about 51 batches.
-    The tree is then folded as the recursion adds: each split is its left
-    subtotal plus its right subtotal.
-    """
-    # kids[i]: interval i's leaf value (a float) or its halves' ids (a tuple)
-    kids = [None] * len(panels)
-    stack = [(i, *panel, tol, 0) for i, panel in enumerate(panels)][::-1]
-    while stack:
-        batch = stack[-_SIMPSON_BATCH:]
-        del stack[-_SIMPSON_BATCH:]
-        nodes = []
-        for _, a, b, *_ in batch:
-            m = 0.5 * (a + b)
-            nodes += (0.5 * (a + m), 0.5 * (m + b))
-        f = g(nodes)
-        for (i, a, b, fa, fm, fb, whole, tol_i, depth), flm, frm in zip(batch, f[::2], f[1::2]):
-            m = 0.5 * (a + b)
-            left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-            right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-            if abs(left + right - whole) <= 15.0 * tol_i:
-                kids[i] = left + right + (left + right - whole) / 15.0
-                continue
-            if depth >= 50:
-                raise NonConvergence("quadrature failed to reach tolerance")
-            lo, hi = len(kids), len(kids) + 1
-            kids[i] = (lo, hi)
-            kids += (None, None)
-            stack.append((hi, m, b, fm, frm, fb, right, tol_i / 2.0, depth + 1))
-            stack.append((lo, a, m, fa, flm, fm, left, tol_i / 2.0, depth + 1))
-    # halves always come after their parent, so a reverse sweep folds bottom up
-    for i in range(len(kids) - 1, -1, -1):
-        if type(kids[i]) is tuple:
-            lo, hi = kids[i]
-            kids[i] = kids[lo] + kids[hi]
-    return kids[: len(panels)]
-
-
 def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) -> float:
-    """E[r-th highest value] = integral of Pr[at least r values >= t] dt.
+    """E[r-th highest value] = integral over t >= 0 of Pr[at least r values >= t] dt.
 
-    Exact up to quadrature tolerance: the tail probability at each node is
-    an exact Poisson-binomial computation, and integration panels split at
-    every kink value so the integrand is smooth inside each panel.
+    [0, inf) is cut into panels at every kink value of every curve.  On a
+    panel each bidder's sale probability is one cv.value_piece, read once
+    at the panel's midpoint: c/(t - slope), or a constant 0 or 1.  So the
+    integrand, an exact Poisson-binomial tail of those probabilities, is
+    smooth on each closed panel.  Finite panels are integrated in t; the
+    last one, [t_max, inf), in s on [0, 1) with t = t_max + s/(1-s).
+
+    Each panel gets an equal share of tol and runs adaptive 7-15 point
+    Gauss-Kronrod: an interval is accepted with the value K15 when
+    |K15 - G7| is within its share, and otherwise halved, each half taking
+    half the share.  A round evaluates the 15 nodes of every pending
+    interval at once; the accepted values are summed left to right, so the
+    result does not depend on the rounds.  Raises NonConvergence when
+    halving would make more than _MAX_INTERVALS intervals.
     """
     if r < 1:
         raise DomainError(f"rank must be >= 1, got {r}")
@@ -808,48 +757,54 @@ def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) ->
     if r == 1 and cv.has_unbounded(profile):
         raise UnboundedExpectation("the maximum of an unbounded-support profile has no mean")
 
-    er_scales = [c.scale for c in profile.curves if cv.is_unbounded(c)]
-    if r == 2 and len(er_scales) >= 2:
-        total = math.fsum(er_scales)
-        limit_at_one = 0.5 * (total * total - math.fsum(s * s for s in er_scales))
-    else:
-        limit_at_one = 0.0
+    # one probability column per distinct curve; bidder j reads column cols[j]
+    curves = {c.table.key: c for c in profile.curves}
+    slot = {key: j for j, key in enumerate(curves)}
+    cols = [slot[c.table.key] for c in profile.curves]
+    cuts = sorted({0.0, *(v for curve in curves.values() for v in cv.kink_values(curve))})
+    t_max = cuts[-1]
+    ends = [*zip(cuts, cuts[1:]), (0.0, 1.0)]  # the last panel in s
+    mids = [0.5 * (a + b) for a, b in ends[:-1]] + [t_max + 1.0]
 
-    # one quantile row per distinct curve; bidder j's probabilities are row rows[j]
-    tables = {c.table.key: c.table for c in profile.curves}
-    slot = {key: j for j, key in enumerate(tables)}
-    rows = [slot[c.table.key] for c in profile.curves]
-    quantiles = _quantiles_of_values(list(tables.values()))
+    def piece(curve, v):
+        """(k, slope, c) with q = k + c/(t - slope) on v's piece; a constant
+        k has slope -inf, so c/(t - slope) = 0/inf = 0 for every t."""
+        p = cv.value_piece(curve, v)
+        return (p, -math.inf, 0.0) if isinstance(p, float) else (0.0, *p)
 
-    def g(xs: list) -> list:
-        """Pr[at least r values >= x/(1-x)] / (1-x)^2 at every node of xs."""
-        inner = [x for x in xs if x < 1.0]
-        u = np.array(inner)
-        probs = quantiles(u / (1.0 - u))[rows]
-        tails = poisson_binomial_rows(probs.T)[:, r:].tolist()
-        f = iter([math.fsum(row) / ((1.0 - x) * (1.0 - x)) for row, x in zip(tails, inner)])
-        return [next(f) if x < 1.0 else limit_at_one for x in xs]
-
-    cuts = {0.0, 1.0}
-    for c in profile.curves:
-        for v in cv.kink_values(c):
-            cuts.add(v / (1.0 + v))
-    grid = sorted(cuts)
-    panel_tol = tol / (len(grid) - 1)
-    # tail() jumps at atom values, which is exactly where the cuts sit;
-    # endpoint nodes are nudged into the panel interior so each panel
-    # integrates its own smooth piece (one-sided limits at the cuts).
-    nodes = []
-    for a, b in zip(grid, grid[1:]):
-        shift = (b - a) * 1e-9
-        nodes += (a + shift, b - shift, 0.5 * (a + b))
-    f = g(nodes)
-    panels = []
-    for (a, b), fa, fb, fm in zip(zip(grid, grid[1:]), f[::3], f[1::3], f[2::3]):
-        panels.append((a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb)))
-    # in order from 0.0, as the recursion summed (sum() compensates on Python >= 3.12)
+    pieces = [[piece(curve, m) for curve in curves.values()] for m in mids]
+    k, slope, c = np.array(pieces).transpose(2, 0, 1)  # each (panel, curve)
+    last = len(ends) - 1
+    # pending intervals: panel, ends and tolerance share
+    p = np.arange(len(ends))
+    a, b = np.array(ends).T
+    share = np.full(len(ends), tol / len(ends))
+    accepted = []
+    made = 0
+    while p.size:
+        half = 0.5 * (b - a)
+        mid = a + half
+        x = mid[:, None] + half[:, None] * _GK_NODES
+        t, jac = x.copy(), np.ones_like(x)
+        tail = p == last
+        s = x[tail]
+        t[tail] = t_max + s / (1.0 - s)
+        jac[tail] = 1.0 / ((1.0 - s) * (1.0 - s))
+        q = k[p, None] + c[p, None] / (t[:, :, None] - slope[p, None])
+        pmf = poisson_binomial_rows(q[:, :, cols].reshape(-1, profile.n))
+        f = np.array([math.fsum(row) for row in pmf[:, r:].tolist()]).reshape(t.shape) * jac
+        kronrod = half * (f * _GK_KRONROD).sum(axis=1)
+        gauss = half * (f * _GK_GAUSS).sum(axis=1)
+        done = np.abs(kronrod - gauss) <= share
+        accepted += zip(p[done].tolist(), a[done].tolist(), kronrod[done].tolist())
+        split = ~done
+        made += 2 * int(split.sum())
+        if made > _MAX_INTERVALS:
+            raise NonConvergence("quadrature failed to reach tolerance")
+        p, share = np.tile(p[split], 2), np.tile(share[split] / 2.0, 2)
+        a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
     total = 0.0
-    for value in _simpson_batches(g, panels, panel_tol):
+    for _, _, value in sorted(accepted):
         total += value
     return total
 

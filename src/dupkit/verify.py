@@ -59,13 +59,13 @@ def criterion_1(seed: int = 0) -> CriterionResult:
     rep = example_lbhr()
     checks = [
         abs(rep.exante_opt - 2.0) <= 1e-9,
-        abs(rep.spa_all_duplicates - 1.5) <= 1e-6,
-        abs(rep.spa_dup_bidder1 - 1.0) <= 1e-6,
-        abs(rep.spa_dup_bidder2 - LN4) <= 1e-6,
+        abs(rep.spa_all_duplicates - 1.5) <= 1e-12,
+        abs(rep.spa_dup_bidder1 - 1.0) <= 1e-12,
+        abs(rep.spa_dup_bidder2 - LN4) <= 1e-12,
     ]
     detail = (
-        f"opt={rep.exante_opt:.12f} both={rep.spa_all_duplicates:.8f} "
-        f"dup1={rep.spa_dup_bidder1:.8f} dup2={rep.spa_dup_bidder2:.8f} (ln4={LN4:.8f})"
+        f"opt={rep.exante_opt:.12f} both={rep.spa_all_duplicates:.15f} "
+        f"dup1={rep.spa_dup_bidder1:.15f} dup2={rep.spa_dup_bidder2:.15f} (ln4={LN4:.15f})"
     )
     return CriterionResult(1, "lbhr-exact", all(checks), detail, time.perf_counter() - t0)
 
@@ -387,10 +387,10 @@ def criterion_8(seed: int = 0, n_samples: int = 1_000_000) -> CriterionResult:
     opt, est = example_n3(n_samples, seed + 7)
     upper = est.mean + 4.0 * est.stderr
     exact = mechanism_revenue_quadrature(_all_dups(n3_profile()), k=1)
-    ok = abs(opt - 2.0) <= 1e-9 and upper < 1.5 and exact < 1.5
+    ok = abs(opt - 2.0) <= 1e-9 and upper < 1.5 and exact < 1.5 and abs(exact - 1.46875) <= 1e-12
     detail = (
         f"opt={opt:.12f} spa6={est.mean:.5f}+4se={upper:.5f} (< 1.5 required); "
-        f"quadrature spa6={exact:.8f} (< 1.5 required)"
+        f"quadrature spa6={exact:.15f} (< 1.5 and within 1e-12 of 1.46875 required)"
     )
     return CriterionResult(8, "n3-strict-gap", ok, detail, time.perf_counter() - t0)
 

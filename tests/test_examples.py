@@ -26,9 +26,9 @@ LN4 = math.log(4.0)
 def test_lbhr_exact_values():
     rep = example_lbhr()
     assert rep.exante_opt == pytest.approx(2.0, abs=1e-9)
-    assert rep.spa_all_duplicates == pytest.approx(1.5, abs=1e-6)
-    assert rep.spa_dup_bidder1 == pytest.approx(1.0, abs=1e-6)
-    assert rep.spa_dup_bidder2 == pytest.approx(LN4, abs=1e-6)
+    assert rep.spa_all_duplicates == pytest.approx(1.5, abs=1e-12)
+    assert rep.spa_dup_bidder1 == pytest.approx(1.0, abs=1e-12)
+    assert rep.spa_dup_bidder2 == pytest.approx(LN4, abs=1e-12)
     # one duplicate can leave a factor-of-opt gap as large as 2/ln4
     assert rep.exante_opt / rep.spa_dup_bidder2 == pytest.approx(2.0 / LN4, abs=1e-5)
 
