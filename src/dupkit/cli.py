@@ -43,21 +43,6 @@ def _jsonable(obj):
     return obj
 
 
-def _nonfinite_field(obj, path: str = ""):
-    """Dotted path of the first non-finite number in a JSON-ready payload, or None."""
-    if isinstance(obj, dict):
-        items = ((f"{path}.{k}" if path else k, v) for k, v in obj.items())
-    elif isinstance(obj, list):
-        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
-    else:
-        return path if isinstance(obj, float) and not math.isfinite(obj) else None
-    for sub, val in items:
-        found = _nonfinite_field(val, sub)
-        if found is not None:
-            return found
-    return None
-
-
 def _emit(payload: dict, out_path, out_format: str) -> None:
     payload = _jsonable(payload)
     if out_format == "csv":
@@ -66,7 +51,8 @@ def _emit(payload: dict, out_path, out_format: str) -> None:
         try:
             text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
         except ValueError:
-            field = _nonfinite_field(payload)
+            field = next((path for path, val in cfg.leaves(payload)
+                          if isinstance(val, float) and not math.isfinite(val)), None)
             raise NonFiniteResult(f"report field {field!r} is not a finite number") from None
     if out_path:
         with open(out_path, "w") as fh:

@@ -314,23 +314,28 @@ def run_experiment(config: ExperimentConfig, workers: int = 0):
     return report, (0 if all_pass else 1)
 
 
+def leaves(obj, path: str = ""):
+    """(dotted path, value) of every leaf of a JSON-ready payload, in order.
+
+    Key k of an object at path p is p.k (k alone at the top), and item i
+    of a list is p[i]; dicts and lists are walked, anything else is a leaf.
+    """
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from leaves(val, f"{path}.{key}" if path else str(key))
+    elif isinstance(obj, list):
+        for i, val in enumerate(obj):
+            yield from leaves(val, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
 def report_to_csv(report: dict) -> str:
     """Flat key,value rows: nested objects such as "timings" and "env" give
     dotted keys, and checks expand to one row per bound."""
     lines = ["key,value"]
-
-    def emit(prefix: str, obj):
-        if isinstance(obj, dict):
-            for key, val in obj.items():
-                emit(f"{prefix}.{key}" if prefix else str(key), val)
-        elif isinstance(obj, list):
-            for i, val in enumerate(obj):
-                emit(f"{prefix}[{i}]", val)
-        else:
-            val = obj
-            if isinstance(val, float) and not math.isfinite(val):
-                val = repr(val)
-            lines.append(f"{prefix},{val}")
-
-    emit("", report)
+    for key, val in leaves(report):
+        if isinstance(val, float) and not math.isfinite(val):
+            val = repr(val)
+        lines.append(f"{key},{val}")
     return "\n".join(lines) + "\n"

@@ -234,7 +234,7 @@ def value_piece(curve: RevenueCurve, v: float) -> float | tuple[float, float]:
 
 def quantile_of_value(curve: RevenueCurve, v: float) -> float:
     """Sale probability q(v) = Pr[value >= v]: largest q with value(q) >= v."""
-    if v < 0.0:
+    if not v >= 0.0:
         raise DomainError(f"value must be >= 0, got {v}")
     piece = value_piece(curve, v)
     if isinstance(piece, float):
@@ -252,7 +252,7 @@ def quantile_lower_of_value(curve: RevenueCurve, v: float) -> float:
     bid can occupy; the two differ exactly when v carries an atom.  Values
     below the support floor clamp to 1.
     """
-    if v < 0.0:
+    if not v >= 0.0:
         raise DomainError(f"value must be >= 0, got {v}")
     t = curve.table
     if v >= t.ceiling:

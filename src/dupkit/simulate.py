@@ -382,6 +382,11 @@ def _top(entries, r: int, carry: int = 0):
     branch-free where a masked copy pays a branch per element.  Slots left
     empty by fewer than r entries read -inf, with payload -1.  An entry is
     read in full before the next is drawn, so entries may share one buffer.
+
+    Every order-statistic kernel reduces its rows here: spa and vcg read
+    top alone; vcg_constrained carries each pool entry's rival row, myerson
+    each bidder's index, lookahead each bidder's monopoly reserve and spald
+    each bidder's late-duplicate row, so the winners' come back with top.
     """
     entries = iter(entries)
     first = next(entries)
@@ -424,38 +429,15 @@ def _top(entries, r: int, carry: int = 0):
     return top, pay
 
 
-def _top_two(v: np.ndarray):
-    """(highest, second highest) of each column; a lone row's second is 0."""
-    if len(v) < 2:
-        return v[0], np.zeros(v[0].shape[0])
-    return _top(((x, None) for x in v), 2)[0]
-
-
-def _first_argmax(v: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """np.argmax(v, axis=0) given best = v.max(axis=0): the first row reaching best.
-
-    That row's index is the number of rows whose running maximum is still
-    below best, which counts without a data-dependent branch.
-    """
-    idx = np.zeros(best.shape, dtype=np.intp)
-    running = v[0].copy()
-    below = np.empty(best.shape, dtype=bool)
-    for i in range(1, len(v)):
-        np.less(running, best, out=below)
-        idx += below
-        np.maximum(running, v[i], out=running)
-    return idx
-
-
-def _rev_spa(curves, constraint, ch, params):
-    return _top_two(ch.v)[1]
-
-
 def _rev_vcg_k(curves, constraint, ch, params):
     k = params["k"]
     if len(ch.v) <= k:
         return np.zeros(ch.hi - ch.lo)
     return k * _top(((x, None) for x in ch.v), k + 1)[0][k]
+
+
+def _rev_spa(curves, constraint, ch, params):
+    return _rev_vcg_k(curves, constraint, ch, {"k": 1})
 
 
 def _rev_vcg_constrained(curves, constraint, ch, params):
@@ -522,10 +504,15 @@ def _rev_myerson(curves, constraint, ch, params):
 
 
 def _rev_lookahead(curves, constraint, ch, params):
-    v = ch.v
-    reserves = np.array([cv.monopoly_reserve(c) for c in curves])
-    top_val, second = _top_two(v)
-    price = np.maximum(second, reserves.take(_first_argmax(v, top_val), mode="clip"))
+    """The top bidder is offered max(second value, its monopoly reserve).
+
+    Each bidder's reserve rides along as its payload, so each column gets
+    its top bidder's.  A lone bidder's second value reads -inf, and a
+    reserve is >= 0, so its price is its reserve, as in the scalar.
+    """
+    reserves = [cv.monopoly_reserve(c) for c in curves]
+    (top_val, second), (reserve,) = _top(zip(ch.v, reserves), 2, carry=1)
+    price = np.maximum(second, reserve)
     # an atom draw equals its own reserve only up to float rounding, so the
     # acceptance test is tolerant and the payment capped, as in the scalar
     sold = top_val >= price * (1.0 - 1e-12)
@@ -537,15 +524,12 @@ def _rev_spald(curves, constraint, ch, params):
 
     Row n + j of ch.v is bidder j's duplicate, the row its clone gets
     under an every-bidder-once extension, which couples this mechanism
-    with the duplicate SPA pathwise; each column takes its top bidder's.
+    with the duplicate SPA pathwise.  It rides along as bidder j's payload,
+    so each column gets its top bidder's.  A lone bidder's second value
+    reads -inf, and a value is >= 0, so the duplicate's value sets the price.
     """
     n = len(curves)
-    v = ch.v[:n]
-    top_val, second = _top_two(v)
-    win = _first_argmax(v, top_val)
-    dup_val = np.empty(ch.hi - ch.lo)
-    for j, row in enumerate(ch.v[n:]):
-        np.copyto(dup_val, row, where=win == j)
+    (top_val, second), (dup_val,) = _top(zip(ch.v[:n], ch.v[n:]), 2, carry=1)
     np.maximum(second, dup_val, out=dup_val)
     return np.minimum(dup_val, top_val, out=dup_val)
 

@@ -81,6 +81,11 @@ def test_triangle_atom_quantile_interval():
     assert cv.quantile_of_value(t, 0.5) == pytest.approx(
         cv.quantile_lower_of_value(t, 0.5)
     )
+    # NaN is no value: both queries refuse it, on a bounded and an unbounded curve
+    for curve in (t, cv.make_equal_revenue(1.5)):
+        for query in (cv.quantile_of_value, cv.quantile_lower_of_value):
+            with pytest.raises(DomainError):
+                query(curve, float("nan"))
 
 
 @given(triangle_params, st.floats(min_value=cv.EPS_MIN, max_value=1.0))

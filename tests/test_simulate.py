@@ -32,7 +32,6 @@ from dupkit.simulate import (
     _value_row,
     _block_means,
     _Chunk,
-    _first_argmax,
     _median,
     _rev_vcg_constrained,
     _rivals,
@@ -108,6 +107,10 @@ _KERNEL_CASES = {
                               "lookahead", "spald", "posted"]},
     "myerson-point-mass-floor": (
         "myerson", cv.make_profile([cv.make_point_mass(0.7), cv.make_triangle(0.5, 0.2)])),
+    # a lone bidder: the kernels' second value reads -inf, the scalar's 0
+    **{f"{m}-lone": (m, cv.make_profile([cv.make_triangle(0.5, 0.4)]))
+       for m in ["spa", "lookahead", "spald"]},
+    "lookahead-lone-zero": ("lookahead", cv.make_profile([cv.make_point_mass(0.0)])),
 }
 
 
@@ -241,16 +244,23 @@ def test_order_statistics_match_numpy(columns):
     n = v.shape[0]
     order = np.argsort(-v, axis=0, kind="stable")
     empty = np.full(v.shape[1], -np.inf)
+    # payloads: each entry's index, or a row that differs in every column;
+    # table[i] is entry i's payload in each column
+    indices = np.broadcast_to(np.arange(n)[:, None], v.shape)
+    rows = np.arange(v.size, dtype=float).reshape(v.shape)
     for r in range(1, n + 2):  # r = n + 1 leaves one slot empty
         for carry in range(r + 1):
-            top, pay = _top(((x, i) for i, x in enumerate(v)), r, carry)
-            assert len(top) == r and len(pay) == carry
-            for j, row in enumerate(top):
-                want = np.partition(v, n - 1 - j, axis=0)[n - 1 - j] if j < n else empty
-                assert np.array_equal(row, want)
-            for j, row in enumerate(pay):
-                assert np.array_equal(row, order[j] if j < n else np.full_like(row, -1.0))
-    assert np.array_equal(_first_argmax(v, v.max(axis=0)), np.argmax(v, axis=0))
+            for payloads, table in ((range(n), indices), (rows, rows)):
+                top, pay = _top(zip(v, payloads), r, carry)
+                assert len(top) == r and len(pay) == carry
+                for j, row in enumerate(top):
+                    want = np.partition(v, n - 1 - j, axis=0)[n - 1 - j] if j < n else empty
+                    assert np.array_equal(row, want)
+                for j, row in enumerate(pay):
+                    # column by column, the payload of the entry ranked j-th
+                    want = (np.take_along_axis(table, order[j : j + 1], axis=0)[0] if j < n
+                            else np.full_like(row, -1.0))
+                    assert np.array_equal(row, want)
     assert np.array_equal(v, before)
 
 
