@@ -184,7 +184,8 @@ def rev(curve: RevenueCurve, q: float) -> float:
     A bounded curve reads rs[j] + slope_j * (q - qs[j]) on segment
     j = bisect_right(qs, q) - 1, the expression and operation order of the
     sampler's simulate._values, so sample_value(c, u) is the sampled value
-    of u bit for bit.  q = 1 returns the last breakpoint's revenue.
+    of u bit for bit (on the first segment both read the slope instead of
+    Rev(q)/q).  q = 1 returns the last breakpoint's revenue.
     """
     if not (0.0 <= q <= 1.0):
         raise DomainError(f"q={q} outside [0,1]")
@@ -200,8 +201,12 @@ def rev(curve: RevenueCurve, q: float) -> float:
 def value(curve: RevenueCurve, q: float, allow_infinite: bool = False) -> float:
     """Posted price selling with probability q, i.e. Rev(q)/q.
 
-    At q=0 the limiting value is returned for bounded curves; unbounded
-    curves raise DomainError there unless ``allow_infinite`` asks for inf.
+    A bounded curve's first segment runs through the origin, so on it (q
+    below the first interior breakpoint, or any q on a one-segment curve)
+    the value is that segment's slope exactly, which is also the supremum
+    value(c, 0); elsewhere it is rev(c, q) / q.  At q=0 the limiting value
+    is returned for bounded curves; unbounded curves raise DomainError
+    there unless ``allow_infinite`` asks for inf.
     """
     if not (0.0 <= q <= 1.0):
         raise DomainError(f"q={q} outside [0,1]")
@@ -211,6 +216,10 @@ def value(curve: RevenueCurve, q: float, allow_infinite: bool = False) -> float:
         return curve.table.ceiling
     if curve.scale:
         return curve.scale * (1.0 - q) / q
+    t = curve.table
+    # at q = qs[1] = 1 on a one-segment curve rev/q is rs[1]/1, the slope too
+    if q < t.qs[1]:
+        return t.ceiling
     return rev(curve, q) / q
 
 
@@ -306,6 +315,8 @@ def sample_value(curve: RevenueCurve, u: float) -> float:
 
     Quantiles of i.i.d. draws are uniform, so feeding u ~ U[0,1) here draws
     from the curve's distribution; the clamp keeps unbounded curves finite.
+    This is the sampler's value of u bit for bit: a first-segment draw reads
+    the slope exactly, and any other the segment expression of rev.
     """
     if not (0.0 <= u < 1.0):
         raise DomainError(f"uniform draw must be in [0,1), got {u}")

@@ -11,8 +11,12 @@ remainder shorter than half a chunk joins the chunk before it.  Per chunk,
 sample_revenues fills each bidder's row with its uniforms, then their
 values (and segment indices) under its curve; spald also gets row n + j,
 its late duplicate of bidder j, under curve j.  A mechanism kernel only
-reduces the rows, column by column.  A value is computed as curves.rev
-computes it, so cv.sample_value(c, u) is the sampled value of u.
+reduces the rows, column by column.  A value is computed as curves.value
+computes it, so cv.sample_value(c, u) is the sampled value of u: a bounded
+curve's first segment runs through the origin, so its draws read that
+segment's slope exactly, and any other draw reads curves.rev's segment
+expression over q.  A bounded curve with one segment (a point mass) thus
+has a constant row, which draws no uniforms and skips the row store.
 A row is a pure function of (seed, bidder index, curve, chunk), so callers
 that score many environments at one seed would redraw identical rows.
 Such calls share rows through _ROWS, one process-wide store.  A call uses
@@ -202,10 +206,16 @@ def _values(curve: cv.RevenueCurve, q: np.ndarray, seg, out: np.ndarray,
             gathered: np.ndarray | None = None) -> np.ndarray:
     """Values at quantiles q >= EPS_MIN whose segments are seg = _segments(table, q).
 
-    That is (rs[j] + slopes[j]*(q - qs[j])) / q for j = seg, or scale*(1-q)/q
-    on an unbounded tail, as in curves.value.  The expression keeps this
-    order: Rev(q)/q is not folded into a per-segment value, which would
-    change the last bit.  ``gathered``, a row like q, is scratch when given.
+    As in curves.value: scale*(1-q)/q on an unbounded tail, and on a bounded
+    curve slopes[0] exactly on the first segment (all of a one-segment
+    curve, filled as a constant) and (rs[j] + slopes[j]*(q - qs[j])) / q on
+    segment j >= 1.  The expression keeps this order: Rev(q)/q is not folded
+    into a per-segment value, which would change the last bit.  It runs on
+    every draw, with segment 1's constants as scalars when the curve has
+    one interior cut, else with rows gathered by seg (``gathered``, a row
+    like q, is scratch for them when given); first-segment draws then take
+    slopes[0] by a bit select, branch-free where a masked copy pays a
+    branch per element.
     """
     if curve.scale:
         np.subtract(1.0, q, out=out)
@@ -213,19 +223,27 @@ def _values(curve: cv.RevenueCurve, q: np.ndarray, seg, out: np.ndarray,
         return np.divide(out, q, out=out)
     t = curve.table
     if seg is None:
-        np.subtract(q, t.q_arr[0], out=out)
-        np.multiply(t.slope_arr[0], out, out=out)
-        np.add(t.r_arr[0], out, out=out)
-    else:
+        out.fill(t.ceiling)
+        return out
+    one_cut = len(t.cuts) == 1
+    if not one_cut and gathered is None:
+        gathered = np.empty_like(q)
+
+    def at_seg(arr, buf):
         # seg is in range; mode="clip" only skips take's buffered bounds check
-        gathered = np.empty_like(q) if gathered is None else gathered
-        np.take(t.q_arr, seg, out=out, mode="clip")
-        np.subtract(q, out, out=out)
-        np.take(t.slope_arr, seg, out=gathered, mode="clip")
-        np.multiply(gathered, out, out=out)
-        np.take(t.r_arr, seg, out=gathered, mode="clip")
-        np.add(gathered, out, out=out)
-    return np.divide(out, q, out=out)
+        return arr[1] if one_cut else np.take(arr, seg, out=buf, mode="clip")
+
+    np.subtract(q, at_seg(t.q_arr, out), out=out)
+    np.multiply(at_seg(t.slope_arr, gathered), out, out=out)
+    np.add(at_seg(t.r_arr, gathered), out, out=out)
+    np.divide(out, q, out=out)
+    # xor with slopes[0]'s bits, zero the difference on the first segment
+    # (seg is its own 0/1 mask with one cut), xor back
+    bits, first = out.view(np.uint64), t.slope_arr.view(np.uint64)[0]
+    np.bitwise_xor(bits, first, out=bits)
+    np.multiply(bits, seg if one_cut else seg != 0, out=bits)
+    np.bitwise_xor(bits, first, out=bits)
+    return out
 
 
 def _phi(t: cv.CurveTable, seg, out: np.ndarray) -> np.ndarray:
@@ -330,13 +348,17 @@ def _value_row(rows, seed: int, i: int, curve: cv.RevenueCurve, lo: int, hi: int
     """(values, _segments) of substream i under curve over counters [lo, hi).
 
     scratch is a (3, >= hi - lo) block, for the quantiles, the uniforms'
-    mix and the values' gathers.  With rows None, the uniforms go to
-    scratch and the values to the row v.  With rows the row store, the
-    value row is looked up under (seed, i, curve bits, lo) and its
-    uniforms under (seed, i, lo), and each one missing is computed into
-    fresh memory and stored.
+    mix and the values' gathers.  A bounded curve with no interior cut
+    (a point mass) has one value, its slope: its row is v filled with it,
+    with no uniforms drawn and no store lookup.  Otherwise, with rows None,
+    the uniforms go to scratch and the values to the row v.  With rows the
+    row store, the value row is looked up under (seed, i, curve bits, lo)
+    and its uniforms under (seed, i, lo), and each one missing is computed
+    into fresh memory and stored.
     """
     t, m = curve.table, hi - lo
+    if not (curve.scale or t.cuts):
+        return _values(curve, None, None, v[:m]), None
     mix = scratch[1, :m].view(np.uint64)
     if rows is None:
         u, out = uniforms(seed, i, lo, hi, out=scratch[0, :m], scratch=mix), v[:m]
@@ -513,8 +535,9 @@ def _rev_lookahead(curves, constraint, ch, params):
     reserves = [cv.monopoly_reserve(c) for c in curves]
     (top_val, second), (reserve,) = _top(zip(ch.v, reserves), 2, carry=1)
     price = np.maximum(second, reserve)
-    # an atom draw equals its own reserve only up to float rounding, so the
-    # acceptance test is tolerant and the payment capped, as in the scalar
+    # a sampled atom draw equals its reserve exactly, but a bid handed to the
+    # scalar may sit on it only up to float rounding, so the scalar's
+    # acceptance test is tolerant and its payment capped, and so are these
     sold = top_val >= price * (1.0 - 1e-12)
     return np.where(sold, np.minimum(price, top_val), 0.0)
 
@@ -581,7 +604,7 @@ def sample_revenues(
         raise DomainError("n_samples must be >= 1")
     if mechanism in ("vcg", "vcg_constrained"):
         k = params.get("k")
-        if not isinstance(k, (int, np.integer)) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
             raise DomainError(f"{mechanism} needs an integer k >= 1, got {k!r}")
     if mechanism == "posted":
         prices = params.get("prices")

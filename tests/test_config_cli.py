@@ -484,6 +484,7 @@ def _strict_json(text):
        st.sampled_from(["simulate", "exante", "classify"]))
 @example(("plan", "copies"), 10**30, False, "simulate")
 @example(("mechanism_params",), {"seed": 1}, False, "simulate")
+@example(("mechanism_params", "k"), True, False, "simulate")
 def test_cli_config_fuzz_keeps_exit_contract(path, value, delete, command):
     raw = json.loads(json.dumps(_FUZZ_BASE))
     parent = raw

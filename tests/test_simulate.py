@@ -96,12 +96,13 @@ def _scalar_revenues(profile, constraint, mechanism, n, seed, **params):
     return np.array(out)
 
 
-# Each case is a mechanism on random profiles, or on one fixed profile.  On
-# "myerson-point-mass-floor" many point-mass draws read one ulp under the
-# atom's value, which is also the curve's support floor.  The kernels read
-# the values cv.sample_value gives, bit for bit, so revenues agree to the
-# byte, except where the scalar reference computes payments another way:
-# myerson's by bisection and vcg_constrained's by an fsum of externalities.
+# Each case is a mechanism on random profiles, or on one fixed profile.
+# "myerson-point-mass-floor" pairs a point mass, whose draws all read the
+# atom's value, which is also the curve's support floor, with a triangle.
+# The kernels read the values cv.sample_value gives, bit for bit, so
+# revenues agree to the byte, except where the scalar reference computes
+# payments another way: myerson's by bisection and vcg_constrained's by an
+# fsum of externalities.
 _KERNEL_CASES = {
     **{m: (m, None) for m in ["spa", "vcg", "vcg_constrained", "myerson",
                               "lookahead", "spald", "posted"]},
@@ -157,9 +158,51 @@ def test_fill_rows_are_scalar_sample_values(monkeypatch):
         assert row.tobytes() == np.array(want).tobytes(), (i, c)
 
 
-# sha256 of sample_revenues(...).tobytes() over 70_001 draws (one full
-# 65,536-draw chunk plus a partial one).  Recorded from the searchsorted /
-# np.partition pipeline; any rewrite must keep every bit.  The "mixed"
+def test_one_segment_rows_draw_no_uniforms(monkeypatch):
+    # a bounded one-segment curve has one value, its slope: its row is that
+    # constant, with no uniforms drawn and no row store lookup
+    calls = []
+    draw = simulate.uniforms
+    monkeypatch.setattr(simulate, "uniforms", lambda *a, **kw: calls.append(a) or draw(*a, **kw))
+    store = _CountingStore(_ROW_BUDGET)
+    monkeypatch.setattr(simulate, "_ROWS", store)
+    flat = [cv.make_point_mass(0.8), cv.make_triangle(1.0, 0.7), cv.make_point_mass(0.0)]
+    for seed in (3, 3):  # the repeat is admitted to the store
+        rev = sample_revenues(cv.make_profile(flat), NO_CONSTRAINT, "vcg", 40_000, seed, k=2)
+        assert calls == [] and store.lookups == 0
+        assert np.all(rev == 0.0) and rev.shape == (40_000,)
+    both = cv.make_profile([flat[0], cv.make_triangle(0.4, 0.6)])
+    rev = sample_revenues(both, NO_CONSTRAINT, "spa", 40_000, 4)
+    assert [a[1] for a in calls] == [1, 1]  # two chunks of the triangle's substream
+    assert rev.tobytes() == np.minimum(
+        0.8, [cv.sample_value(both.curves[1], u) for u in uniforms(4, 1, 0, 40_000)]).tobytes()
+
+
+def test_sampled_rows_never_exceed_supremum(monkeypatch):
+    # the sampling half of the value-above-supremum probe in test_curves
+    rng = random.Random(0)
+    probe = ([random_triangle(rng) for _ in range(1500)]
+             + [random_concave_curve(rng) for _ in range(1500)])
+    above = []
+
+    def capture(curves, constraint, ch, params):
+        for c, row in zip(curves, ch.v):
+            if np.any(row > cv.value(c, 0.0)):
+                above.append(c.breakpoints)
+        return np.zeros(ch.hi - ch.lo)
+
+    monkeypatch.setitem(simulate._MECHANISMS, "spa", capture)
+    for j in range(0, len(probe), 100):
+        sample_revenues(cv.make_profile(probe[j : j + 100]), NO_CONSTRAINT, "spa", 1000, 0)
+    assert above == []
+
+
+# sha256 of sample_revenues(...).tobytes() over 70_001 draws (four full
+# 16,384-draw chunks plus a partial one).  Recorded from the searchsorted /
+# np.partition pipeline; any rewrite must keep every bit.  Re-recorded once
+# when first-segment draws took their slope exactly: every moved value sat
+# on a first segment and moved by at most one ulp, to the slope, and every
+# other value kept its bits (posted's digests did not move).  The "mixed"
 # profile has one curve of each kind; "cloned" holds every curve twice, so
 # values and virtual values tie across bidders and tie-breaks are pinned.
 # "tail07" has two equal-revenue curves at scale 0.7, where scale*(1-q)
@@ -183,30 +226,30 @@ _GOLDEN_PROFILES = {
 }
 _GOLDEN = {
     "mixed": {
-        "spa": "2d23c634230c4500c3c06f5d95d474c1a3bf385a0ceefc30d8d18f2a41fd99ee",
-        "vcg": "168d7458fdf80d9ada7d9ff3d3554ff54de0eddc142d7aafc3d24b0d600ef80a",
-        "vcg_constrained": "7805e7222653c06095eb16b9cdb1eef0af51b75fa1098a3e301a225f72e71a17",
-        "myerson": "83045301351a1edcb6ba7418d252ecfa3deed7a83d8870df5723b3932dc924c4",
-        "lookahead": "698863b8f32fd5de2c44bcf9ee7e31bc6b1c4945ae74781c4f0cf2c76a9d30fe",
-        "spald": "f24931e83e86995288a9cbf2266991829d00a2a3c92524fb6bf3e3a9dceadb43",
+        "spa": "14d6782d00fbefc8475d5171d3e939f8b104d7e0f4b3c6cf82c1ad5ccdc492dd",
+        "vcg": "b22f582f8f96fbd17e68f9320e6a6c7dd612ef28177c472c03e9066f060eaf99",
+        "vcg_constrained": "1f106f5c16214fb677b2f9b669164adf6afada1e7856da8e08420909115f6c5c",
+        "myerson": "04ee4d9aac306fa110841b31481675b582dac51b1b155232c4e9947a56940cad",
+        "lookahead": "5b9eaddbf3c651758337b0681b3156002db8eafd168bc560529327a2308666a3",
+        "spald": "d49ade1ad58ca2b5e77ae2c95d826209ff77a240a57c3ba19112c31a0b142de1",
         "posted": "195acbbb8844d0ddf08f342fb6b446558ab1d2258a0d1b118cfa00506a2dfb59",
     },
     "cloned": {
-        "spa": "bfe252cdfbade278eca9f6460e38a0b21ca4ca670da3ded8cb0b8d0d4f1d1c20",
-        "vcg": "5f7a442709c499d687c475756350606163ac10b84e978b4dfb25141aa6c30bb6",
-        "vcg_constrained": "18c87369665ef6d26a4db487a6572a23f519a78ec21a0cba1be69d8798103025",
-        "myerson": "ca15077d79e4de7cdab88a545ffd196ee2b00fbd1bd70d1892bd1d1f059d6fa7",
-        "lookahead": "99a6713fce7fa3c9b0247966686a27ce7d7afbb36af9a8bc68b934bf8d39ae51",
-        "spald": "fc682ecd48976275f634864b202b88572f2b96a802dc86e670218abeccc34758",
+        "spa": "0c2359d2fbbbed2052ee186ea025ba466977d1493c1377474114fcdfa5908640",
+        "vcg": "8ea32b46898dbf72698e12c02b04bddeec8ac556e883abf7cc20a22db79f39f8",
+        "vcg_constrained": "7907fa3acc6b16ab2a000f0fd941d08f9ef4364b3f80bc83180d7925388bbbcd",
+        "myerson": "6e39e4f12103acec72a077c315453614c602d979ae561eaa0d94ad07da5607b1",
+        "lookahead": "de32e1821d12d929cb27dc02efccdcb73f49e50aefc8f3116a3d3d150009f851",
+        "spald": "bbfcb8a2243ddfcc806805d36cdf6ddc3ef35361ba8e0099862a214d8b5a53c1",
         "posted": "96b9492cd510d93d00d40135839248c37425ef88b1a20559bb0cfe37c494a1f6",
     },
     "tail07": {
-        "spa": "ece57f749000e8cbb8d8943a7508c8e43ee0d0ed12df33444db021455b6c5f9c",
-        "vcg": "b8816bdf2144e8b4f7f5c0c96d423d60aa1942aec7c1300971614ddddee68db6",
-        "vcg_constrained": "cfa520437294432a93afedb13dc5d1d2317f7c2296fbf40a773320e4bbea7d34",
-        "myerson": "f2329a2e3ac3b351dd0382fe1099e1404d7651f56bcb83919344e6a2a64825b3",
-        "lookahead": "98dc1f0d09201ec5146299df213d02b043ae331e8fce11cf523d7bf046c564af",
-        "spald": "b52c32ca2f43ada5b51bc6996549eb58d49e5efbb252cdc8da7780bf56c80b90",
+        "spa": "ac08cfca7e1e813ff7b737d69c5500f83e76d7a871ce4fb00b2a6e0ecb36226e",
+        "vcg": "a481ed498e7e5678baf9373e1d0cfd45837e0423b99a3e71c550870591ef31bb",
+        "vcg_constrained": "f7f2d4a9f09dbae00af4ed430ea9d1d590f4244ca6dd9e7a143e3dafedb629eb",
+        "myerson": "859d11dedd27bc04f31ee0efe8b3ee41f98bd6529c3fa0b8d29f9a4ee4fc73db",
+        "lookahead": "bdcce0a8c64129d39dc56ac608b1787ed8cf65b11c56453c54bd7648946ba0ce",
+        "spald": "1da8e99813780c0b7361d2825a2f68928c26db4c17526adc64816e37162adc1d",
         "posted": "fcb0121f6f9e6991496dde3cfc20092a044e9de09cfcb1a03593d966a7e1f1f3",
     },
 }
@@ -343,7 +386,7 @@ def test_vcg_constrained_matches_stable_argsort(columns, n_pairs, k):
 
 
 @pytest.mark.parametrize("mechanism", ["vcg", "vcg_constrained"])
-@pytest.mark.parametrize("k", [0, -1, 1.0, None])
+@pytest.mark.parametrize("k", [0, -1, 1.0, None, True])
 def test_vcg_rejects_bad_k(mechanism, k):
     prof = cv.make_profile([cv.make_triangle(0.5, 0.5)] * 3)
     params = {} if k is None else {"k": k}
@@ -732,11 +775,12 @@ def test_row_store_admits_only_repeat_seed_calls_that_fit(monkeypatch):
 
     assert counts(20_000, 1)[0] == (0, 0)  # the first call
     assert counts(20_000, 2)[0] == (0, 0)  # a new seed
-    # a repeat seed within budget: one chunk, each bidder's value and uniform rows
+    # a repeat seed within budget: one chunk, each bidder's value and uniform
+    # rows, but for the point mass, whose constant row skips the store
     stored, first = counts(20_000, 2)
-    assert stored == (8, 8) and store.nbytes > 0
+    assert stored == (6, 6) and store.nbytes > 0
     served, again = counts(20_000, 2)
-    assert served == (4, 0) and again.tobytes() == first.tobytes()
+    assert served == (3, 0) and again.tobytes() == first.tobytes()
     assert counts(fits + 1, 2)[0] == (0, 0)  # a repeat seed over budget
     assert counts(fits, 2)[0][1] > 0
 
@@ -747,7 +791,9 @@ def test_row_store_admits_only_repeat_seed_calls_that_fit(monkeypatch):
 # rows, serve prefixes of stored rows (700 and 16,384 draws after 16,684 and
 # 40,000) and reuse the uniforms of a clone slot under a new curve.  The
 # sha256 over every result's bytes was recorded before the store moved any
-# sampling into fill; any rewrite must keep every bit.
+# sampling into fill; any rewrite must keep every bit.  It was re-recorded
+# once, when first-segment draws took their slope exactly (each moved value
+# moved by at most one ulp, to the slope).
 _STORE_SEQUENCE = [
     ("spa", 3, "none", 40_000, 0, 0),
     ("spald", 3, "single", 40_000, 0, 0),
@@ -772,7 +818,7 @@ _STORE_SEQUENCE = [
     ("spald", 3, "all", 20_000, 0, 0),
     ("posted", 3, "single", 16_384, 0, 3),
 ]
-_STORE_SEQUENCE_GOLDEN = "0afb428707938ecfa0875b3f490c9033435cb0b484572f8acf29a9f7cd54454a"
+_STORE_SEQUENCE_GOLDEN = "f370f86cd57e194adb519774c877980bb1677323d07faf2ff96c2a34386310e4"
 
 
 def test_row_store_sequence_golden_digest(monkeypatch):
