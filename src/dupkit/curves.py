@@ -40,11 +40,21 @@ class CurveTable:
 
     ``floor`` is value(1) and ``ceiling`` value(0) (inf for an unbounded
     tail); ``cuts`` are the interior breakpoints.
+
+    A bounded curve's first segment, whose values read its slope exactly,
+    also runs through the leading run of later breakpoints on its ray
+    (r_j*q_1 >= r_1*q_j), where Rev(q)/q could round above the slope.
     """
 
     def __init__(self, curve: RevenueCurve):
-        self.qs = qs = tuple(q for q, _ in curve.breakpoints)
-        self.rs = rs = tuple(r for _, r in curve.breakpoints)
+        points = curve.breakpoints
+        if not curve.scale and len(points) > 2:
+            (q1, r1), last = points[1], 1
+            while last + 1 < len(points) and points[last + 1][1] * q1 >= r1 * points[last + 1][0]:
+                last += 1
+            points = points[:1] + points[last:]
+        self.qs = qs = tuple(q for q, _ in points)
+        self.rs = rs = tuple(r for _, r in points)
         segs = []
         for j in range(1, len(qs)):
             slope = (rs[j] - rs[j - 1]) / (qs[j] - qs[j - 1])
@@ -198,20 +208,19 @@ def rev(curve: RevenueCurve, q: float) -> float:
     return t.rs[j] + t.segments[j][2] * (q - t.qs[j])
 
 
-def value(curve: RevenueCurve, q: float, allow_infinite: bool = False) -> float:
+def value(curve: RevenueCurve, q: float) -> float:
     """Posted price selling with probability q, i.e. Rev(q)/q.
 
     A bounded curve's first segment runs through the origin, so on it (q
     below the first interior breakpoint, or any q on a one-segment curve)
     the value is that segment's slope exactly, which is also the supremum
-    value(c, 0); elsewhere it is rev(c, q) / q.  At q=0 the limiting value
-    is returned for bounded curves; unbounded curves raise DomainError
-    there unless ``allow_infinite`` asks for inf.
+    value(c, 0); elsewhere it is rev(c, q) / q.  At q=0 a bounded curve
+    returns the limit, and an unbounded one raises DomainError.
     """
     if not (0.0 <= q <= 1.0):
         raise DomainError(f"q={q} outside [0,1]")
     if q == 0.0:
-        if curve.scale and not allow_infinite:
+        if curve.scale:
             raise DomainError("value at q=0 is infinite for unbounded support")
         return curve.table.ceiling
     if curve.scale:
@@ -335,14 +344,13 @@ def kink_values(curve: RevenueCurve) -> tuple[float, ...]:
     return tuple(sorted(v for v in vals if v > 0.0))
 
 
-def rev_dominates(a: RevenueCurve, b: RevenueCurve, grid: int = 257) -> bool:
-    """Pointwise Rev_a >= Rev_b on (0,1], checked at breakpoints and a grid.
+def rev_dominates(a: RevenueCurve, b: RevenueCurve) -> bool:
+    """Pointwise Rev_a >= Rev_b on (0,1], checked at the merged breakpoints.
 
-    Both curves are piecewise-linear between the merged breakpoints, so the
-    check there is exact up to float noise.
+    Both curves are linear between consecutive merged breakpoints (EPS_MIN
+    stands in for 0), so the check is exact up to float noise.
     """
     qs = {EPS_MIN, 1.0}
     qs.update(q for q, _ in a.breakpoints if q > 0.0)
     qs.update(q for q, _ in b.breakpoints if q > 0.0)
-    qs.update((j + 1) / grid for j in range(grid - 1))
     return all(rev(a, q) >= rev(b, q) - 1e-12 for q in qs)

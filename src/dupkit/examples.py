@@ -9,6 +9,7 @@ second, and exactly 1 duplicating only the first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,18 +36,21 @@ def lbhr_profile() -> cv.BidderProfile:
     )
 
 
-def example_lbhr(tol: float = 1e-8) -> LbHrReport:
-    """The flagship pair, every revenue via quadrature (no sampling)."""
+def lbhr_duplicates() -> tuple:
+    """(profile, exact SPA revenue) of the flagship pair with both bidders
+    duplicated, only the first, and only the second."""
     base = lbhr_profile()
-    both, _ = extend_profile(base, all_once())
-    dup1 = cv.make_profile([*base.curves, base.curves[0]])
-    dup2 = cv.make_profile([*base.curves, base.curves[1]])
-    return LbHrReport(
-        exante_opt=solve_exante(base, k=1).opt,
-        spa_all_duplicates=mechanism_revenue_quadrature(both, k=1, tol=tol),
-        spa_dup_bidder1=mechanism_revenue_quadrature(dup1, k=1, tol=tol),
-        spa_dup_bidder2=mechanism_revenue_quadrature(dup2, k=1, tol=tol),
+    return (
+        (extend_profile(base, all_once())[0], 1.5),
+        (cv.make_profile([*base.curves, base.curves[0]]), 1.0),
+        (cv.make_profile([*base.curves, base.curves[1]]), math.log(4.0)),
     )
+
+
+def example_lbhr() -> LbHrReport:
+    """The flagship pair, every revenue via quadrature (no sampling)."""
+    revs = [mechanism_revenue_quadrature(prof, k=1) for prof, _ in lbhr_duplicates()]
+    return LbHrReport(solve_exante(lbhr_profile(), k=1).opt, *revs)
 
 
 def n3_profile() -> cv.BidderProfile:

@@ -46,12 +46,10 @@ def _positive_segments(curve: cv.RevenueCurve, index: int):
     return out
 
 
-def solve_exante(profile: cv.BidderProfile, k: int = 1, tol: float = 1e-9) -> ExAnteSolution:
+def solve_exante(profile: cv.BidderProfile, k: int = 1) -> ExAnteSolution:
     """Exact optimum of the ex ante program with k items."""
     if k < 1:
         raise DomainError(f"k must be a positive integer, got {k}")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
 
     peaks = []
     for c in profile.curves:
@@ -81,7 +79,7 @@ def solve_exante(profile: cv.BidderProfile, k: int = 1, tol: float = 1e-9) -> Ex
         dual = slope
 
     quantiles = tuple(min(q, 1.0) for q in alloc)
-    if sum(quantiles) > k + tol or any(q < 0.0 for q in quantiles):
+    if sum(quantiles) > k + 1e-9 or any(q < 0.0 for q in quantiles):
         raise NonConvergence("water-fill produced an infeasible allocation")
     opt = sum(cv.rev(c, q) for c, q in zip(profile.curves, quantiles))
     return ExAnteSolution(quantiles, opt, k, dual)

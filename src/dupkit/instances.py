@@ -12,10 +12,8 @@ def random_triangle(rng: random.Random) -> cv.RevenueCurve:
     return cv.make_triangle(rng.uniform(0.05, 1.0), rng.uniform(0.1, 1.0))
 
 
-def random_profile(
-    n: int, rng: random.Random, er_prob: float = 0.2, allow_unbounded: bool = True
-) -> cv.BidderProfile:
-    """n independent bidders: triangles, with ER curves mixed in at er_prob.
+def random_profile(n: int, rng: random.Random, allow_unbounded: bool = True) -> cv.BidderProfile:
+    """n independent bidders: triangles, with ER curves mixed in at rate 0.2.
 
     Triangles span the worst cases (every concave curve revenue-dominates
     its inscribed triangle), and the ER mix exercises heavy tails.
@@ -24,15 +22,15 @@ def random_profile(
         raise DomainError(f"need n >= 1 bidders, got {n}")
     curves = []
     for _ in range(n):
-        if allow_unbounded and rng.random() < er_prob:
+        if allow_unbounded and rng.random() < 0.2:
             curves.append(cv.make_equal_revenue(rng.uniform(0.1, 1.0)))
         else:
             curves.append(random_triangle(rng))
     return cv.make_profile(curves)
 
 
-def random_concave_curve(rng: random.Random, max_kinks: int = 3) -> cv.RevenueCurve:
-    """Piecewise-linear concave curve through (0,0) with random kinks.
+def random_concave_curve(rng: random.Random) -> cv.RevenueCurve:
+    """Piecewise-linear concave curve through (0,0) with 1-3 pieces per leg.
 
     Rising slopes are sampled, sorted decreasing, and rescaled to hit a
     random peak; falling slopes likewise rescaled to land on a random final
@@ -60,9 +58,9 @@ def random_concave_curve(rng: random.Random, max_kinks: int = 3) -> cv.RevenueCu
         return pts
 
     points = [(0.0, 0.0)]
-    points += leg(0.0, peak_q, 0.0, peak_r, rng.randint(1, max_kinks))
+    points += leg(0.0, peak_q, 0.0, peak_r, rng.randint(1, 3))
     if end_r < peak_r:
-        points += leg(peak_q, 1.0, peak_r, end_r, rng.randint(1, max_kinks))
+        points += leg(peak_q, 1.0, peak_r, end_r, rng.randint(1, 3))
     else:
         points.append((1.0, peak_r))
     return cv.make_piecewise(points)

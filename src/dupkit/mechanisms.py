@@ -137,34 +137,23 @@ def _phi_of_bid(curve: cv.RevenueCurve, bid: float) -> float:
     return cv.slope_at(curve, q_hi)
 
 
-def _phi_threshold_quantile(curve, beat_strict, beat_weak, q_start, iters=80):
+def _phi_threshold_quantile(curve, beat_strict, beat_weak):
     """Largest quantile at which the slope still clears both beat levels.
 
-    The slope is a step function of q, so bisection pins the boundary kink;
-    80 halvings put the quantile error far below value-axis tolerances.
+    Slopes do not increase in q, so that is the left end of the first
+    segment whose slope fails >= 0, > beat_strict or >= beat_weak, or 1.0.
     """
-
-    def wins(q):
-        phi = cv.slope_at(curve, q)
-        return phi >= 0.0 and phi > beat_strict and phi >= beat_weak
-
-    if wins(1.0):
-        return 1.0
-    lo, hi = q_start, 1.0  # wins(lo) holds, wins(hi) fails
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if wins(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    for q0, _, slope, _ in cv.segments(curve):
+        if not (slope >= 0.0 and slope > beat_strict and slope >= beat_weak):
+            return q0
+    return 1.0
 
 
 def run_myerson_single(profile: cv.BidderProfile, bids) -> AuctionOutcome:
     """Single-item optimal auction: highest nonnegative virtual value wins.
 
-    The winner pays its threshold bid, found by pushing its quantile up
-    until it would stop winning and reading the value there.
+    The winner pays its threshold bid: the value at the largest quantile
+    at which it would still win.
     """
     bids = _check_bids(bids)
     if len(bids) != profile.n:
@@ -176,8 +165,7 @@ def run_myerson_single(profile: cv.BidderProfile, bids) -> AuctionOutcome:
     beat_strict = max((p for i, p in enumerate(phis) if i < winner), default=-math.inf)
     beat_weak = max((p for i, p in enumerate(phis) if i > winner), default=-math.inf)
     curve = profile.curves[winner]
-    q_start = max(cv.quantile_of_value(curve, bids[winner]), cv.EPS_MIN)
-    q_pay = _phi_threshold_quantile(curve, beat_strict, beat_weak, q_start)
+    q_pay = _phi_threshold_quantile(curve, beat_strict, beat_weak)
     price = cv.value(curve, max(q_pay, cv.EPS_MIN))
     return _outcome([(winner, min(price, bids[winner]))])
 

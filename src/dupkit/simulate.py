@@ -19,18 +19,19 @@ expression over q.  A bounded curve with one segment (a point mass) thus
 has a constant row, which draws no uniforms and skips the row store.
 A row is a pure function of (seed, bidder index, curve, chunk), so callers
 that score many environments at one seed would redraw identical rows.
-Such calls share rows through _ROWS, one process-wide store.  A call uses
-it only when it repeats the previous call's seed (a new seed meets no
-stored row) and every value row it draws fits in _ROW_BUDGET bytes
-(larger rows would evict one another before any reuse); such a call looks
-up and stores every row it draws:
+Each thread keeps a store of its own (_row_store), which needs no lock.
+A call that is not pooled uses its thread's store only when it repeats
+that thread's previous seed (a new seed meets no stored row) and every
+value row it draws fits in _ROW_BUDGET bytes (larger rows would evict
+one another before any reuse); such a call looks up and stores every row
+it draws:
 
 * value rows with their segment indices are keyed by (seed, index, curve
   bits, chunk start), and uniform rows by (seed, index, chunk start), so a
   clone slot under a new curve skips the hash;
 * a stored row serves any request for a prefix of it;
 * the store holds at most _ROW_BUDGET bytes and evicts the least recently
-  used row; stored arrays are read-only and a lock guards the store.
+  used row; stored arrays are read-only.
 
 Any other call makes no lookups and computes its rows into one scratch
 block per thread, which is reused across calls (_scratch).
@@ -92,7 +93,7 @@ _MASK = (1 << 64) - 1
 # Draws per chunk: sample_revenues fills and reduces one chunk of every
 # bidder's row at a time, and the row store below keys rows by chunk start.
 _CHUNK = 1 << 14
-# Bytes the row store may hold.
+# Bytes each thread's row store may hold.
 _ROW_BUDGET = 6 << 20
 # Largest per-thread scratch block kept between sampling calls, in bytes.
 _SCRATCH_KEEP = 4 << 20
@@ -279,9 +280,8 @@ class _RowStore:
     A key names the row of one chunk of one bidder substream, and its
     entry is a tuple of arrays (or None) over counters [lo, lo + length).
     A stored entry serves any request for a prefix of it.  Stored arrays
-    are read-only.  The lock guards the tables; rows are computed outside
-    it, so two threads may both compute a row, and the later entry
-    replaces the earlier one.
+    are read-only.  A store belongs to one thread (_row_store), so nothing
+    else reads or writes it while that thread runs.
     """
 
     def __init__(self, budget: int):
@@ -289,23 +289,20 @@ class _RowStore:
         self.nbytes = 0
         self._rows = OrderedDict()  # key -> (arrays, nbytes), oldest first
         self._seed = None  # the seed of the previous call to admit
-        self._lock = threading.Lock()
 
     def admit(self, seed: int, nbytes: int) -> bool:
         """Whether a sampling call at seed, whose value rows take nbytes,
         uses the store: only when it repeats the previous call's seed and
         its value rows fit in the budget."""
-        with self._lock:
-            repeat, self._seed = seed == self._seed, seed
+        repeat, self._seed = seed == self._seed, seed
         return repeat and nbytes <= self.budget
 
     def lookup(self, key, m: int):
         """The entry under key cut to its first m counters, or None."""
-        with self._lock:
-            entry = self._rows.get(key)
-            if entry is None or entry[0][0].shape[0] < m:
-                return None
-            self._rows.move_to_end(key)
+        entry = self._rows.get(key)
+        if entry is None or entry[0][0].shape[0] < m:
+            return None
+        self._rows.move_to_end(key)
         return tuple(None if a is None else a[:m] for a in entry[0])
 
     def put(self, key, arrays: tuple) -> None:
@@ -316,16 +313,22 @@ class _RowStore:
         for a in arrays:
             if a is not None:
                 a.flags.writeable = False
-        with self._lock:
-            old = self._rows.pop(key, None)
-            self.nbytes += nbytes - (old[1] if old else 0)
-            self._rows[key] = (arrays, nbytes)
-            while self.nbytes > self.budget:
-                self.nbytes -= self._rows.popitem(last=False)[1][1]
+        old = self._rows.pop(key, None)
+        self.nbytes += nbytes - (old[1] if old else 0)
+        self._rows[key] = (arrays, nbytes)
+        while self.nbytes > self.budget:
+            self.nbytes -= self._rows.popitem(last=False)[1][1]
 
 
-_ROWS = _RowStore(_ROW_BUDGET)
 _SCRATCH = threading.local()
+
+
+def _row_store() -> _RowStore:
+    """This thread's row store, made on its first sampling call."""
+    rows = getattr(_SCRATCH, "rows", None)
+    if rows is None:
+        rows = _SCRATCH.rows = _RowStore(_ROW_BUDGET)
+    return rows
 
 
 def _scratch(rows: int, width: int) -> np.ndarray:
@@ -618,7 +621,15 @@ def sample_revenues(
     # row i draws substream i under drawn[i]; spald's duplicates come last
     drawn = curves * 2 if mechanism == "spald" else curves
     out = np.empty(n_samples)
-    rows = _ROWS if _ROWS.admit(seed, len(drawn) * n_samples * 8) else None
+    # Chunks start at multiples of _CHUNK, and a remainder shorter than half
+    # a chunk joins the chunk before it, so no call ends on a sliver.
+    starts = list(range(0, n_samples - _CHUNK // 2, _CHUNK)) or [0]
+    spans = list(zip(starts, [*starts[1:], n_samples]))
+    # a pooled call's chunks run in worker threads, so it uses no store
+    pooled = workers and workers > 1 and len(spans) > 1
+    rows = None if pooled else _row_store()
+    if rows and not rows.admit(seed, len(drawn) * n_samples * 8):
+        rows = None
 
     def fill(spans) -> None:
         # one scratch block and one block of value rows per caller,
@@ -631,11 +642,7 @@ def sample_revenues(
                               for i, c in enumerate(drawn)))
             out[lo:hi] = kernel(curves, constraint, _Chunk(vals, seg, lo, hi), params)
 
-    # Chunks start at multiples of _CHUNK, and a remainder shorter than half
-    # a chunk joins the chunk before it, so no call ends on a sliver.
-    starts = list(range(0, n_samples - _CHUNK // 2, _CHUNK)) or [0]
-    spans = list(zip(starts, [*starts[1:], n_samples]))
-    if workers and workers > 1 and len(spans) > 1:
+    if pooled:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, [spans[w::workers] for w in range(min(workers, len(spans)))]))
     else:
@@ -816,7 +823,7 @@ def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) ->
     return total
 
 
-def mechanism_revenue_quadrature(profile: cv.BidderProfile, k: int = 1, tol: float = 1e-8) -> float:
+def mechanism_revenue_quadrature(profile: cv.BidderProfile, k: int = 1) -> float:
     """Exact expected revenue of the k-item uniform-price auction.
 
     Every winner pays the (k+1)-st highest value, so revenue is k times
@@ -826,4 +833,4 @@ def mechanism_revenue_quadrature(profile: cv.BidderProfile, k: int = 1, tol: flo
         raise DomainError(f"k must be >= 1, got {k}")
     if profile.n < k + 1:
         raise DomainError(f"need at least k+1={k + 1} bidders, got {profile.n}")
-    return k * expected_order_stat(profile, k + 1, tol)
+    return k * expected_order_stat(profile, k + 1)

@@ -55,8 +55,6 @@ def test_bad_inputs():
     prof = cv.make_profile([cv.make_triangle(0.5, 1.0)])
     with pytest.raises(DomainError):
         solve_exante(prof, k=0)
-    with pytest.raises(DomainError):
-        solve_exante(prof, tol=0.0)
 
 
 def test_dual_certificate():

@@ -100,9 +100,8 @@ def _scalar_revenues(profile, constraint, mechanism, n, seed, **params):
 # "myerson-point-mass-floor" pairs a point mass, whose draws all read the
 # atom's value, which is also the curve's support floor, with a triangle.
 # The kernels read the values cv.sample_value gives, bit for bit, so
-# revenues agree to the byte, except where the scalar reference computes
-# payments another way: myerson's by bisection and vcg_constrained's by an
-# fsum of externalities.
+# revenues agree to the byte, except for vcg_constrained, whose scalar
+# reference computes each payment as an fsum of externalities.
 _KERNEL_CASES = {
     **{m: (m, None) for m in ["spa", "vcg", "vcg_constrained", "myerson",
                               "lookahead", "spald", "posted"]},
@@ -130,7 +129,7 @@ def test_kernels_match_scalar_mechanisms(mechanism, fixed):
             params["prices"] = [round(rng.uniform(0, 2), 2) for _ in range(n)]
         fast = sample_revenues(prof, constraint, mechanism, 257, seed=trial, **params)
         slow = _scalar_revenues(prof, constraint, mechanism, 257, seed=trial, **params)
-        if mechanism in ("myerson", "vcg_constrained"):
+        if mechanism == "vcg_constrained":
             np.testing.assert_allclose(fast, slow, atol=1e-9)
         else:
             assert fast.tobytes() == slow.tobytes()
@@ -165,7 +164,7 @@ def test_one_segment_rows_draw_no_uniforms(monkeypatch):
     draw = simulate.uniforms
     monkeypatch.setattr(simulate, "uniforms", lambda *a, **kw: calls.append(a) or draw(*a, **kw))
     store = _CountingStore(_ROW_BUDGET)
-    monkeypatch.setattr(simulate, "_ROWS", store)
+    monkeypatch.setattr(simulate._SCRATCH, "rows", store, raising=False)
     flat = [cv.make_point_mass(0.8), cv.make_triangle(1.0, 0.7), cv.make_point_mass(0.0)]
     for seed in (3, 3):  # the repeat is admitted to the store
         rev = sample_revenues(cv.make_profile(flat), NO_CONSTRAINT, "vcg", 40_000, seed, k=2)
@@ -195,6 +194,23 @@ def test_sampled_rows_never_exceed_supremum(monkeypatch):
     for j in range(0, len(probe), 100):
         sample_revenues(cv.make_profile(probe[j : j + 100]), NO_CONSTRAINT, "spa", 1000, 0)
     assert above == []
+
+
+def test_collinear_rows_never_exceed_supremum(monkeypatch):
+    # the sampling half of test_curves' collinear-segment probe: a segment
+    # on the first one's ray reads its slope; Rev(q)/q read above it on
+    # 5,673 of these 100,002 values
+    curves = [cv.make_piecewise([(0.0, 0.0), (0.2, 0.2 * s), (0.4, 0.4 * s), (1.0, 0.0)])
+              for s in (0.7, 0.37, 2.9)]
+    above = []
+
+    def capture(curves, constraint, ch, params):
+        above.extend(int(np.sum(row > cv.value(c, 0.0))) for c, row in zip(curves, ch.v))
+        return np.zeros(ch.hi - ch.lo)
+
+    monkeypatch.setitem(simulate._MECHANISMS, "spa", capture)
+    sample_revenues(cv.make_profile(curves), NO_CONSTRAINT, "spa", 33_334, 0)
+    assert sum(above) == 0
 
 
 # sha256 of sample_revenues(...).tobytes() over 70_001 draws (four full
@@ -691,18 +707,18 @@ def _store_call(mechanism, n, plan, n_samples, seed, workers):
 @settings(max_examples=40, deadline=None)
 @given(store_calls, st.sampled_from([_ROW_BUDGET, 1 << 18]))
 def test_row_store_results_match_empty_store(calls, budget):
-    saved = simulate._ROWS
+    saved = simulate._row_store()
     try:
-        simulate._ROWS = shared = _RowStore(budget)
+        simulate._SCRATCH.rows = shared = _RowStore(budget)
         for call in calls:
             got = _store_call(*call)
-            simulate._ROWS = _RowStore(budget)
+            simulate._SCRATCH.rows = _RowStore(budget)
             want = _store_call(*call)
-            simulate._ROWS = shared
+            simulate._SCRATCH.rows = shared
             assert got.tobytes() == want.tobytes()
             assert shared.nbytes <= budget
     finally:
-        simulate._ROWS = saved
+        simulate._SCRATCH.rows = saved
 
 
 def test_row_store_serves_read_only_rows():
@@ -764,7 +780,7 @@ class _CountingStore(_RowStore):
 
 def test_row_store_admits_only_repeat_seed_calls_that_fit(monkeypatch):
     store = _CountingStore(_ROW_BUDGET)
-    monkeypatch.setattr(simulate, "_ROWS", store)
+    monkeypatch.setattr(simulate._SCRATCH, "rows", store, raising=False)
     profile = cv.make_profile(_STORE_CURVES[:4])
     fits = _ROW_BUDGET // (8 * profile.n)  # the most draws whose value rows fit
 
@@ -787,9 +803,10 @@ def test_row_store_admits_only_repeat_seed_calls_that_fit(monkeypatch):
 
 # One fixed sequence of calls on a fresh store, as (mechanism, profile
 # prefix, plan, draws, seed, workers).  Seeds repeat in runs of 3 to 5, so
-# each run's first call draws afresh and the rest are admitted: they store
-# rows, serve prefixes of stored rows (700 and 16,384 draws after 16,684 and
-# 40,000) and reuse the uniforms of a clone slot under a new curve.  The
+# each run's first call draws afresh and the rest are admitted unless
+# pooled (3 workers over two chunks): they store rows, serve prefixes of
+# stored rows (700 and 16,384 draws after 16,684 and 40,000) and reuse the
+# uniforms of a clone slot under a new curve.  The
 # sha256 over every result's bytes was recorded before the store moved any
 # sampling into fill; any rewrite must keep every bit.  It was re-recorded
 # once, when first-segment draws took their slope exactly (each moved value
@@ -822,43 +839,59 @@ _STORE_SEQUENCE_GOLDEN = "f370f86cd57e194adb519774c877980bb1677323d07faf2ff96c2a
 
 
 def test_row_store_sequence_golden_digest(monkeypatch):
-    monkeypatch.setattr(simulate, "_ROWS", _RowStore(_ROW_BUDGET))
+    monkeypatch.setattr(simulate._SCRATCH, "rows", _RowStore(_ROW_BUDGET), raising=False)
     digest = hashlib.sha256()
     for call in _STORE_SEQUENCE:
         digest.update(_store_call(*call).tobytes())
     assert digest.hexdigest() == _STORE_SEQUENCE_GOLDEN
 
 
-def test_row_store_threads_share_one_store():
-    # more threads than cores, switching often, on calls that share rows
+def test_row_store_is_confined_to_its_thread(monkeypatch):
+    # more threads than cores, switching often, on calls that would share
+    # rows: each thread draws through a store of its own
     calls = [(m, 3, plan, 20_000, 1, w) for m in ("spa", "vcg") for plan in ("single", "all")
              for w in (0, 3)]
     want = []
-    saved = simulate._ROWS
+    for call in calls:
+        monkeypatch.setattr(simulate._SCRATCH, "rows", _RowStore(_ROW_BUDGET), raising=False)
+        want.append(_store_call(*call).tobytes())
+    got, stores, interval = {}, {}, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        for call in calls:
-            simulate._ROWS = _RowStore(_ROW_BUDGET)
-            want.append(_store_call(*call).tobytes())
-        simulate._ROWS = store = _RowStore(1 << 20)
-        got, interval = {}, sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            def run(t):
-                for j in range(len(calls)):
-                    k = (j + t) % len(calls)
-                    got[t, k] = _store_call(*calls[k]).tobytes()
+        def run(t):
+            for j in range(len(calls)):
+                k = (j + t) % len(calls)
+                got[t, k] = _store_call(*calls[k]).tobytes()
+            stores[t] = simulate._row_store()
 
-            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120)
-                assert not th.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == {(t, k): want[k] for t in range(4) for k in range(len(calls))}
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == {(t, k): want[k] for t in range(4) for k in range(len(calls))}
+    assert len({id(store) for store in [*stores.values(), simulate._row_store()]}) == 5
+    for store in stores.values():
         kept = [entry for entry, _ in store._rows.values()]
         assert store.nbytes == sum(a.nbytes for e in kept for a in e if a is not None)
         assert 0 < store.nbytes <= store.budget
-    finally:
-        simulate._ROWS = saved
+
+
+def test_pooled_calls_use_no_store(monkeypatch):
+    # a pooled call's chunks run in worker threads, so it reads and writes
+    # no store, neither its caller's nor a worker's, even at a repeat seed
+    used = []
+    lookup, put = _RowStore.lookup, _RowStore.put
+    monkeypatch.setattr(_RowStore, "lookup", lambda self, *a: used.append(a) or lookup(self, *a))
+    monkeypatch.setattr(_RowStore, "put", lambda self, *a: used.append(a) or put(self, *a))
+    store = _RowStore(_ROW_BUDGET)
+    monkeypatch.setattr(simulate._SCRATCH, "rows", store, raising=False)
+    pooled = [_store_call("spa", 3, "all", 40_000, 2, 3).tobytes() for _ in range(2)]
+    assert used == [] and store.nbytes == 0
+    # the same calls in the caller's thread reach the store from the repeat on
+    alone = [_store_call("spa", 3, "all", 40_000, 2, 0).tobytes() for _ in range(2)]
+    assert used and store.nbytes > 0
+    assert pooled == alone
