@@ -37,11 +37,12 @@ from time import perf_counter
 import numpy as np
 
 from . import analysis, curves as cv
-from .duplication import PLAN_MODES, DuplicatePlan, extend_profile
+from .duplication import DuplicatePlan, extend_profile
 from .errors import ConcavityViolation, ParseError
 from .exante import solve_exante
 from .mechanisms import NO_CONSTRAINT
-from .simulate import ESTIMATORS, _estimator, _summarize, mechanism_names, sample_revenues
+from .simulate import (ESTIMATORS, MECHANISM_PARAMS, _estimator, _summarize, mechanism_names,
+                       sample_revenues)
 
 # Largest draw count a config or --samples may ask for.  The revenue array
 # is held whole, 8 bytes a draw, so this many draws take 800 MB.
@@ -49,6 +50,15 @@ MAX_SAMPLES = 100_000_000
 # Most clones a k_copies_of plan may ask for: each clone adds a bidder row
 # to every chunk a call samples.
 MAX_COPIES = 1_000
+
+# The bidders each plan mode clones, in append order (None: every bidder
+# once), from the plan's index, copies and indices.
+PLAN_SOURCES = {
+    "single_of": lambda index, copies, indices: (index,),
+    "k_copies_of": lambda index, copies, indices: (index,) * copies,
+    "set_once": lambda index, copies, indices: indices,
+    "all_once": lambda index, copies, indices: None,
+}
 
 BOUND_FUNCS = {
     "single": lambda c: analysis.bound_single(c["alpha"], c["beta"]),
@@ -163,28 +173,25 @@ def parse_config(text: str) -> ExperimentConfig:
 
     mechanism_params = dict(_object(raw, "mechanism_params"))
     for key in mechanism_params:
-        if key not in ("k", "prices"):  # the parameters the mechanisms read
-            _fail(f"mechanism_params.{key}", "unknown field")
+        if key not in MECHANISM_PARAMS.get(mech, ()):
+            _fail(f"mechanism_params.{key}", f"{mech} reads no such parameter")
 
     plan = None
     if "plan" in raw:
         p = _object(raw, "plan")
         mode = p.get("mode")
-        if mode not in PLAN_MODES:
-            _fail("plan.mode", f"must be one of {sorted(PLAN_MODES)}")
+        if not (isinstance(mode, str) and mode in PLAN_SOURCES):
+            _fail("plan.mode", f"must be one of {sorted(PLAN_SOURCES)}")
         copies = p.get("copies", 1)
         if not 1 <= _int(copies, "plan.copies") <= MAX_COPIES:
             _fail("plan.copies", f"must be in [1, {MAX_COPIES}], got {copies}")
         indices = p.get("indices", [])
         if not isinstance(indices, list):
             _fail("plan.indices", "must be a list of bidder indices")
-        plan = DuplicatePlan(
-            mode,
-            index=_int(p.get("index", 0), "plan.index"),
-            copies=copies,
-            indices=tuple(_int(j, "plan.indices") for j in indices),
-            pair_constrained=_bool(p.get("pair_constrained", False), "plan.pair_constrained"),
-        )
+        sources = PLAN_SOURCES[mode](_int(p.get("index", 0), "plan.index"), copies,
+                                     tuple(_int(j, "plan.indices") for j in indices))
+        plan = DuplicatePlan(sources, _bool(p.get("pair_constrained", False),
+                                            "plan.pair_constrained"))
 
     constants = dict(_object(raw, "constants"))
     if _int(constants.get("k", 1), "constants.k") < 1:
@@ -268,7 +275,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 0):
     if config.plan is not None:
         profile, constraint = extend_profile(base, config.plan)
     params = dict(config.mechanism_params)
-    if config.mechanism in ("vcg", "vcg_constrained"):
+    if "k" in MECHANISM_PARAMS.get(config.mechanism, ()):
         params.setdefault("k", k)
     # estimate_revenue's two stages, run here so each can be timed
     t2 = perf_counter()

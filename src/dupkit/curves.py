@@ -33,6 +33,9 @@ EPS_MIN = 1e-12
 
 # Slack used when validating concavity of user-supplied breakpoints.
 _SLOPE_TOL = 1e-9
+# Relative slack of CurveTable's ray test: a breakpoint further below the
+# ray starts a segment whose values stay below the slope after rounding.
+_RAY_SLACK = 4 * 2.0**-52
 
 
 class CurveTable:
@@ -42,15 +45,17 @@ class CurveTable:
     tail); ``cuts`` are the interior breakpoints.
 
     A bounded curve's first segment, whose values read its slope exactly,
-    also runs through the leading run of later breakpoints on its ray
-    (r_j*q_1 >= r_1*q_j), where Rev(q)/q could round above the slope.
+    also runs through the leading run of later breakpoints on its ray or
+    just below it (r_j*q_1 >= r_1*q_j*(1 - _RAY_SLACK)), where Rev(q)/q
+    could round above the slope.
     """
 
     def __init__(self, curve: RevenueCurve):
         points = curve.breakpoints
         if not curve.scale and len(points) > 2:
             (q1, r1), last = points[1], 1
-            while last + 1 < len(points) and points[last + 1][1] * q1 >= r1 * points[last + 1][0]:
+            while last + 1 < len(points) and (
+                    points[last + 1][1] * q1 >= r1 * points[last + 1][0] * (1.0 - _RAY_SLACK)):
                 last += 1
             points = points[:1] + points[last:]
         self.qs = qs = tuple(q for q, _ in points)
@@ -232,35 +237,32 @@ def value(curve: RevenueCurve, q: float) -> float:
     return rev(curve, q) / q
 
 
-def value_piece(curve: RevenueCurve, v: float) -> float | tuple[float, float]:
-    """The piece of q(.) = Pr[value >= .] that holds the value v >= 0.
+def value_piece(curve: RevenueCurve, v: float) -> tuple[float, float, float]:
+    """The piece (k, slope, c) of q(.) = Pr[value >= .] at v >= 0: q(v) = k + c/(v - slope).
 
-    Inside the support q(v) = c/(v - slope) on one segment, returned as
-    (slope, c); at or below the floor q is 1.0 and above the ceiling 0.0,
-    returned as that float.  The piece changes only at kink_values.
+    Inside the support it is one segment's (0.0, slope, c); at or below the
+    floor q is 1.0 and above the ceiling 0.0, as k with slope -inf and c 0.0
+    (c/(v - slope) = 0/inf = 0).  The piece changes only at kink_values.
     """
     t = curve.table
     if v <= t.floor:
-        return 1.0
+        return 1.0, -math.inf, 0.0
     if v > t.ceiling:
-        return 0.0
+        return 0.0, -math.inf, 0.0
     for q0, q1, slope, c in t.segments:
         if v > slope + c / q1:  # the value at the right end, the segment minimum
-            return slope, c
-    return 1.0
+            return 0.0, slope, c
+    return 1.0, -math.inf, 0.0
 
 
 def quantile_of_value(curve: RevenueCurve, v: float) -> float:
     """Sale probability q(v) = Pr[value >= v]: largest q with value(q) >= v."""
     if not v >= 0.0:
         raise DomainError(f"value must be >= 0, got {v}")
-    piece = value_piece(curve, v)
-    if isinstance(piece, float):
-        return piece
-    slope, c = piece
+    k, slope, c = value_piece(curve, v)
     # v==slope cannot occur here: that needs c==0, making the segment's
     # value constant, and value_piece returns it only for v > slope + c/q1 == slope.
-    return c / (v - slope)
+    return k + c / (v - slope)
 
 
 def quantile_lower_of_value(curve: RevenueCurve, v: float) -> float:

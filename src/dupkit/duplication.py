@@ -16,52 +16,37 @@ from . import curves as cv
 from .errors import DomainError
 from .mechanisms import PairConstraint
 
-SINGLE_OF = "single_of"
-K_COPIES_OF = "k_copies_of"
-SET_ONCE = "set_once"
-ALL_ONCE = "all_once"
-PLAN_MODES = (SINGLE_OF, K_COPIES_OF, SET_ONCE, ALL_ONCE)
-
-
 @dataclass(frozen=True)
 class DuplicatePlan:
-    mode: str
-    index: int = 0
-    copies: int = 1
-    indices: tuple = ()
+    """Bidders to clone: ``sources`` lists original indices in append order,
+    or is None for every bidder once; with ``pair_constrained`` each clone
+    may win only if its original does not."""
+
+    sources: tuple | None
     pair_constrained: bool = False
 
 
 def single_of(i: int) -> DuplicatePlan:
-    return DuplicatePlan(SINGLE_OF, index=i)
+    return DuplicatePlan((i,))
 
 
 def k_copies_of(i: int, k: int) -> DuplicatePlan:
     if k < 1:
         raise DomainError(f"need k >= 1 copies, got {k}")
-    return DuplicatePlan(K_COPIES_OF, index=i, copies=k)
+    return DuplicatePlan((i,) * k)
 
 
 def set_once(indices, pair_constrained: bool = False) -> DuplicatePlan:
-    return DuplicatePlan(SET_ONCE, indices=tuple(indices), pair_constrained=pair_constrained)
+    return DuplicatePlan(tuple(indices), pair_constrained)
 
 
 def all_once(pair_constrained: bool = False) -> DuplicatePlan:
-    return DuplicatePlan(ALL_ONCE, pair_constrained=pair_constrained)
+    return DuplicatePlan(None, pair_constrained)
 
 
 def duplicate_sources(plan: DuplicatePlan, n: int) -> list:
     """Original indices to clone, in append order."""
-    if plan.mode == SINGLE_OF:
-        sources = [plan.index]
-    elif plan.mode == K_COPIES_OF:
-        sources = [plan.index] * plan.copies
-    elif plan.mode == SET_ONCE:
-        sources = list(plan.indices)
-    elif plan.mode == ALL_ONCE:
-        sources = list(range(n))
-    else:
-        raise DomainError(f"unknown plan mode {plan.mode!r}")
+    sources = list(range(n) if plan.sources is None else plan.sources)
     for j in sources:
         if not 0 <= j < n:
             raise IndexError(f"bidder index {j} out of range for n={n}")

@@ -260,18 +260,17 @@ def _phi(t: cv.CurveTable, seg, out: np.ndarray) -> np.ndarray:
 
 
 def _win_region_edge(t: cv.CurveTable, strict: np.ndarray, weak: np.ndarray) -> np.ndarray:
-    """Largest quantile whose slope is >= 0, > strict, and >= weak.
+    """Index j of the first segment whose slope fails >= 0, > strict or >= weak.
 
     Slopes are a non-increasing step function of q, so each condition
-    admits a prefix of segments; the edge is the left endpoint of the
-    first segment failing any of them.
+    admits a prefix of segments, and qs[j] (qs[-1] = 1 when every segment
+    passes) is the largest quantile whose slope meets all three.
     """
     neg = -t.slope_arr  # ascending
     j_nonneg = np.searchsorted(neg, 0.0, side="right")
     j_strict = np.searchsorted(neg, -np.asarray(strict), side="left")
     j_weak = np.searchsorted(neg, -np.asarray(weak), side="right")
-    j = np.minimum(np.minimum(j_strict, j_weak), j_nonneg)
-    return t.q_arr[j]
+    return np.minimum(np.minimum(j_strict, j_weak), j_nonneg)
 
 
 class _RowStore:
@@ -522,8 +521,9 @@ def _rev_myerson(curves, constraint, ch, params):
     for i, c in enumerate(curves):
         cols = np.flatnonzero(sold & (win == i))
         if cols.size:
-            q_pay = np.maximum(_win_region_edge(c.table, strict[cols], weak[cols]), cv.EPS_MIN)
-            pay = _values(c, q_pay, _segments(c.table, q_pay), np.empty(cols.size))
+            # the price at each breakpoint, as run_myerson_single reads it
+            prices = np.array([cv.value(c, max(q, cv.EPS_MIN)) for q in c.table.qs])
+            pay = prices[_win_region_edge(c.table, strict[cols], weak[cols])]
             out[cols] = np.minimum(pay, ch.v[i][cols])
     return out
 
@@ -585,6 +585,8 @@ _MECHANISMS = {
     "spald": _rev_spald,
     "posted": _rev_posted,
 }
+# The parameters each mechanism reads; the rest read none.
+MECHANISM_PARAMS = {"vcg": ("k",), "vcg_constrained": ("k",), "posted": ("prices",)}
 
 
 def mechanism_names() -> tuple:
@@ -605,6 +607,9 @@ def sample_revenues(
         raise DomainError(f"unknown mechanism {mechanism!r}; use one of {mechanism_names()}")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
+    for key in params:
+        if key not in MECHANISM_PARAMS.get(mechanism, ()):
+            raise DomainError(f"{mechanism} reads no parameter {key!r}")
     if mechanism in ("vcg", "vcg_constrained"):
         k = params.get("k")
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
@@ -749,10 +754,11 @@ def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) ->
 
     [0, inf) is cut into panels at every kink value of every curve.  On a
     panel each bidder's sale probability is one cv.value_piece, read once
-    at the panel's midpoint: c/(t - slope), or a constant 0 or 1.  So the
-    integrand, an exact Poisson-binomial tail of those probabilities, is
-    smooth on each closed panel.  Finite panels are integrated in t; the
-    last one, [t_max, inf), in s on [0, 1) with t = t_max + s/(1-s).
+    at the panel's midpoint: k + c/(t - slope), either c/(t - slope) or a
+    constant 0 or 1.  So the integrand, an exact Poisson-binomial tail of
+    those probabilities, is smooth on each closed panel.  Finite panels are
+    integrated in t; the last one, [t_max, inf), in s on [0, 1) with
+    t = t_max + s/(1-s).
 
     Each panel gets an equal share of tol and runs adaptive 7-15 point
     Gauss-Kronrod: an interval is accepted with the value K15 when
@@ -780,13 +786,7 @@ def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) ->
     ends = [*zip(cuts, cuts[1:]), (0.0, 1.0)]  # the last panel in s
     mids = [0.5 * (a + b) for a, b in ends[:-1]] + [t_max + 1.0]
 
-    def piece(curve, v):
-        """(k, slope, c) with q = k + c/(t - slope) on v's piece; a constant
-        k has slope -inf, so c/(t - slope) = 0/inf = 0 for every t."""
-        p = cv.value_piece(curve, v)
-        return (p, -math.inf, 0.0) if isinstance(p, float) else (0.0, *p)
-
-    pieces = [[piece(curve, m) for curve in curves.values()] for m in mids]
+    pieces = [[cv.value_piece(curve, m) for curve in curves.values()] for m in mids]
     k, slope, c = np.array(pieces).transpose(2, 0, 1)  # each (panel, curve)
     last = len(ends) - 1
     # pending intervals: panel, ends and tolerance share

@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dupkit import cli, config as cfg
 from dupkit.cli import main
+from dupkit.duplication import all_once, extend_profile, k_copies_of, set_once, single_of
 from dupkit.examples import example_n3
 from dupkit.errors import (
     ConcavityViolation,
@@ -104,6 +106,38 @@ def test_run_experiment_pass_and_fail():
     assert code == 1
     assert report["estimate"]["mean"] == 0.0
     assert report["checks"][0]["passed"] is False
+
+
+_PLAN_PROFILE = {"curves": [{"triangle": {"q": 0.5, "r": 0.5}}, {"point_mass": 0.4},
+                            {"equal_revenue": 1.0}], "names": ["a", "b", "c"]}
+
+
+def _extension(profile, plan):
+    """extend_profile's curves, names and pairs, or the error it raises."""
+    try:
+        ext, con = extend_profile(profile, plan)
+    except DupkitError as exc:
+        return repr(exc)
+    return ext.curves, ext.names, con.pairs
+
+
+@pytest.mark.parametrize("pair_constrained", [False, True])
+@pytest.mark.parametrize("mode, build, out_of_range", [
+    ("single_of", lambda pc: replace(single_of(1), pair_constrained=pc), {"index": 3}),
+    ("k_copies_of", lambda pc: replace(k_copies_of(1, 3), pair_constrained=pc), {"index": 3}),
+    ("set_once", lambda pc: set_once((2, 0), pair_constrained=pc), {"indices": [0, 3]}),
+    ("all_once", lambda pc: all_once(pair_constrained=pc), None),
+])
+def test_config_plan_extends_as_its_constructor(tmp_path, mode, build, out_of_range,
+                                                pair_constrained):
+    # every plan field is set, those the mode ignores too
+    plan = {"mode": mode, "index": 1, "copies": 3, "indices": [2, 0],
+            "pair_constrained": pair_constrained}
+    conf = cfg.parse_config(json.dumps({**BASE, "profile": _PLAN_PROFILE, "plan": plan}))
+    assert _extension(conf.profile, conf.plan) == _extension(conf.profile, build(pair_constrained))
+    if out_of_range:
+        raw = {**BASE, "profile": _PLAN_PROFILE, "plan": {**plan, **out_of_range}}
+        assert main(["simulate", "--config", write_config(tmp_path, raw), "--samples", "10"]) == 2
 
 
 def test_report_csv_is_flat():
@@ -303,13 +337,16 @@ def test_cli_simulate_bad_k_is_usage_error(tmp_path, mechanism, k):
         ("classify", {"constants": {"alpha": 0.27, "beta": 0.4, "k": -1}}, "'constants.k'"),
         ("simulate", {"plan": {"mode": "k_copies_of", "copies": 10**30}}, "'plan.copies'"),
         ("simulate", {"mechanism_params": {"seed": 1}}, "'mechanism_params.seed'"),
+        ("simulate", {"mechanism": "spa", "mechanism_params": {"k": 3}}, "'mechanism_params.k'"),
+        ("simulate", {"mechanism": "spa", "mechanism_params": {"prices": [1.0, 0.5]}},
+         "'mechanism_params.prices'"),
     ],
     ids=["inf-piecewise", "inf-triangle", "nan-point-mass", "inf-equal-revenue", "plan-string",
          "plan-index", "n-samples", "estimator", "posted-no-prices", "posted-short-prices",
          "checks-not-list", "constant-not-number", "names-not-list", "plan-index-float",
          "k-float", "n-samples-bool", "pair-constrained-string", "n-samples-huge-float",
          "n-samples-huge-int", "classify-k-zero", "classify-k-negative",
-         "plan-copies-huge", "mechanism-params-unknown"],
+         "plan-copies-huge", "mechanism-params-unknown", "spa-with-k", "spa-with-prices"],
 )
 def test_cli_bad_input_is_usage_error(tmp_path, command, change, field):
     path = write_config(tmp_path, {**BASE, **change})

@@ -148,16 +148,19 @@ def test_value_round_trips_on_probe():
 
 
 def test_collinear_segments_never_exceed_supremum():
-    # a later segment on the first one's ray through the origin joins the
-    # first, so values on it read the slope; Rev(q)/q read above it on
-    # 2,777, 2,813 and 2,822 of these 10,000 queries per curve
+    # a later segment on the first one's ray through the origin, or within
+    # a few ulps below it, joins the first, so values on it read the slope;
+    # Rev(q)/q read above it on 2,777, 2,813 and 2,822 of these 10,000
+    # queries per curve on the ray, and on 799, 902 and 1,662 per curve
+    # below it, when only breakpoints on or above the ray joined
     above = []
-    for s in (0.7, 0.37, 2.9):
-        c = cv.make_piecewise([(0.0, 0.0), (0.2, 0.2 * s), (0.4, 0.4 * s), (1.0, 0.0)])
+    for q1, q2, s in [(0.2, 0.4, 0.7), (0.2, 0.4, 0.37), (0.2, 0.4, 2.9),
+                      (0.3, 0.7, 0.35), (0.3, 0.7, 1.49), (0.3, 0.7, 3.27)]:
+        c = cv.make_piecewise([(0.0, 0.0), (q1, q1 * s), (q2, q2 * s), (1.0, 0.0)])
         rng, sup = random.Random(0), cv.value(c, 0.0)
-        above += [(s, q) for q in (rng.uniform(0.2, 0.4) for _ in range(10_000))
+        above += [(s, q) for q in (rng.uniform(q1, q2) for _ in range(10_000))
                   if cv.value(c, q) > sup]
-        assert cv.rev(c, 0.2) == sup * 0.2  # the dropped breakpoint reads slope*q
+        assert cv.rev(c, q1) == sup * q1  # the dropped breakpoint reads slope*q
     assert above == []
 
 

@@ -99,6 +99,10 @@ def _scalar_revenues(profile, constraint, mechanism, n, seed, **params):
 # Each case is a mechanism on random profiles, or on one fixed profile.
 # "myerson-point-mass-floor" pairs a point mass, whose draws all read the
 # atom's value, which is also the curve's support floor, with a triangle.
+# "myerson-rising" has a curve whose revenue rises up to q = 1, so its
+# winner pays the value at q = 1, which the scalar reads as rs[-1]; a
+# kernel evaluating the last segment's expression at q = 1 paid one ulp off
+# it on every one of the 1,028 draws.
 # The kernels read the values cv.sample_value gives, bit for bit, so
 # revenues agree to the byte, except for vcg_constrained, whose scalar
 # reference computes each payment as an fsum of externalities.
@@ -107,6 +111,10 @@ _KERNEL_CASES = {
                               "lookahead", "spald", "posted"]},
     "myerson-point-mass-floor": (
         "myerson", cv.make_profile([cv.make_point_mass(0.7), cv.make_triangle(0.5, 0.2)])),
+    "myerson-rising": ("myerson", cv.make_profile([
+        cv.make_piecewise([(0, 0), (0.224897493700499, 0.7067377128221777),
+                           (1, 1.668271049659744)]),
+        cv.make_point_mass(0.0)])),
     # a lone bidder: the kernels' second value reads -inf, the scalar's 0
     **{f"{m}-lone": (m, cv.make_profile([cv.make_triangle(0.5, 0.4)]))
        for m in ["spa", "lookahead", "spald"]},
@@ -198,10 +206,13 @@ def test_sampled_rows_never_exceed_supremum(monkeypatch):
 
 def test_collinear_rows_never_exceed_supremum(monkeypatch):
     # the sampling half of test_curves' collinear-segment probe: a segment
-    # on the first one's ray reads its slope; Rev(q)/q read above it on
-    # 5,673 of these 100,002 values
-    curves = [cv.make_piecewise([(0.0, 0.0), (0.2, 0.2 * s), (0.4, 0.4 * s), (1.0, 0.0)])
-              for s in (0.7, 0.37, 2.9)]
+    # on the first one's ray, or a few ulps below it, reads its slope;
+    # Rev(q)/q read above it on 5,673 of the first three curves' 100,002
+    # values, and on 4,494 of the last three's when only breakpoints on or
+    # above the ray joined the first segment
+    curves = [cv.make_piecewise([(0.0, 0.0), (q1, q1 * s), (q2, q2 * s), (1.0, 0.0)])
+              for q1, q2, s in [(0.2, 0.4, 0.7), (0.2, 0.4, 0.37), (0.2, 0.4, 2.9),
+                                (0.3, 0.7, 0.35), (0.3, 0.7, 1.49), (0.3, 0.7, 3.27)]]
     above = []
 
     def capture(curves, constraint, ch, params):
@@ -408,6 +419,19 @@ def test_vcg_rejects_bad_k(mechanism, k):
     params = {} if k is None else {"k": k}
     with pytest.raises(DomainError, match="k >= 1"):
         sample_revenues(prof, PairConstraint(((0, 1),)), mechanism, 100, 0, **params)
+
+
+@pytest.mark.parametrize("mechanism, params", [
+    ("spa", {"k": 3}), ("spa", {"prices": [0.5, 0.5]}), ("myerson", {"k": 1}),
+    ("vcg", {"k": 1, "prices": [0.5, 0.5]}), ("posted", {"prices": [0.5, 0.5], "k": 1}),
+])
+def test_unread_mechanism_params_are_refused_before_drawing(monkeypatch, mechanism, params):
+    drawn = []
+    monkeypatch.setattr(simulate, "uniforms", lambda *a, **kw: drawn.append(a))
+    prof = cv.make_profile([cv.make_triangle(0.5, 0.5)] * 2)
+    with pytest.raises(DomainError, match="reads no parameter"):
+        sample_revenues(prof, NO_CONSTRAINT, mechanism, 100, 0, **params)
+    assert drawn == []
 
 
 def test_estimator_defaults():
