@@ -84,11 +84,10 @@ def _need(constants: dict, key: str) -> float:
 
 def _cmd_exante(args) -> int:
     config = _load_config(args.config)
-    k = int(config.constants.get("k", 1))
-    sol = solve_exante(config.profile, k=k)
+    sol = solve_exante(config.profile, k=config.constants["k"])
     _emit(
         {
-            "k": k,
+            "k": sol.k,
             "opt": sol.opt,
             "dual": sol.dual,
             "quantiles": list(sol.quantiles),
@@ -133,9 +132,8 @@ def _cmd_select(args) -> int:
         reports = noisy_beta_reports(
             config.profile, _need(constants, "beta"), _need(constants, "eps"), seed
         )
-        k = int(constants.get("k", 1))
         payload["reports"] = reports
-        payload["selected"] = sorted(select_k_set_noisy(reports, k))
+        payload["selected"] = sorted(select_k_set_noisy(reports, constants["k"]))
     _emit(payload, args.out, args.format or config.output_format)
     return 0
 
@@ -192,9 +190,9 @@ def _cmd_examples(args) -> int:
 def _cmd_classify(args) -> int:
     config = _load_config(args.config)
     constants = config.constants
-    k = int(constants.get("k", 1))
+    k = constants["k"]
+    sol = solve_exante(config.profile, k=k)
     if k >= 2:
-        sol = solve_exante(config.profile, k=k)
         case = analysis.classify_k(
             config.profile,
             k,
@@ -205,7 +203,6 @@ def _cmd_classify(args) -> int:
         )
         which = "k_items"
     else:
-        sol = solve_exante(config.profile, k=1)
         case = analysis.classify_single(
             config.profile, _need(constants, "alpha"), _need(constants, "beta"), sol
         )

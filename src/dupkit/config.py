@@ -38,11 +38,9 @@ import numpy as np
 
 from . import analysis, curves as cv
 from .duplication import DuplicatePlan, extend_profile
-from .errors import ConcavityViolation, ParseError
+from .errors import ConcavityViolation, DomainError, ParseError
 from .exante import solve_exante
-from .mechanisms import NO_CONSTRAINT
-from .simulate import (ESTIMATORS, MECHANISM_PARAMS, _estimator, _summarize, mechanism_names,
-                       sample_revenues)
+from .simulate import MECHANISM_PARAMS, _estimator, _mechanism_fault, _summarize, sample_revenues
 
 # Largest draw count a config or --samples may ask for.  The revenue array
 # is held whole, 8 bytes a draw, so this many draws take 800 MB.
@@ -77,7 +75,7 @@ class ExperimentConfig:
     profile: cv.BidderProfile
     mechanism: str
     mechanism_params: dict
-    plan: DuplicatePlan | None
+    sampled: tuple  # the profile with the plan's clones appended, and their PairConstraint
     constants: dict
     checks: tuple
     n_samples: int
@@ -167,16 +165,7 @@ def parse_config(text: str) -> ExperimentConfig:
     ]
     profile = cv.make_profile(curves, tuple(names) if names else None)
 
-    mech = raw.get("mechanism", "spa")
-    if mech not in mechanism_names():
-        _fail("mechanism", f"unknown mechanism {mech!r}; use one of {mechanism_names()}")
-
-    mechanism_params = dict(_object(raw, "mechanism_params"))
-    for key in mechanism_params:
-        if key not in MECHANISM_PARAMS.get(mech, ()):
-            _fail(f"mechanism_params.{key}", f"{mech} reads no such parameter")
-
-    plan = None
+    plan, mode = DuplicatePlan(()), None
     if "plan" in raw:
         p = _object(raw, "plan")
         mode = p.get("mode")
@@ -192,14 +181,28 @@ def parse_config(text: str) -> ExperimentConfig:
                                      tuple(_int(j, "plan.indices") for j in indices))
         plan = DuplicatePlan(sources, _bool(p.get("pair_constrained", False),
                                             "plan.pair_constrained"))
+    try:
+        sampled = extend_profile(profile, plan)
+    except IndexError as exc:
+        _fail("plan.indices" if mode == "set_once" else "plan.index", str(exc))
+    except DomainError as exc:
+        _fail("plan.pair_constrained", str(exc))
 
-    constants = dict(_object(raw, "constants"))
-    if _int(constants.get("k", 1), "constants.k") < 1:
+    constants = {"k": 1, **_object(raw, "constants")}
+    if _int(constants["k"], "constants.k") < 1:
         _fail("constants.k", f"must be at least 1, got {constants['k']!r}")
     for name, val in constants.items():
         number = isinstance(val, numbers.Real) and not isinstance(val, bool)
         if name != "k" and not (number and math.isfinite(val)):
             _fail(f"constants.{name}", f"must be a finite number, got {val!r}")
+    mech = raw.get("mechanism", "spa")
+    mechanism_params = dict(_object(raw, "mechanism_params"))
+    if isinstance(mech, str) and "k" in MECHANISM_PARAMS.get(mech, ()):
+        mechanism_params.setdefault("k", constants["k"])
+    if fault := _mechanism_fault(mech, sampled[0].n, mechanism_params):
+        if fault[0] is None:
+            _fail("mechanism", fault[1])
+        raise DomainError(f"config field 'mechanism_params.{fault[0]}': {fault[1]}")
     checks = raw.get("checks", [])
     if not (isinstance(checks, list) and all(isinstance(x, str) for x in checks)):
         _fail("checks", f"must be a list of bound names, got {checks!r}")
@@ -215,11 +218,12 @@ def parse_config(text: str) -> ExperimentConfig:
     sampling = _object(raw, "sampling")
     n_samples = _int(sampling.get("n_samples", 100_000), "sampling.n_samples")
     seed = _int(sampling.get("seed", 0), "sampling.seed")
-    estimator = sampling.get("estimator", "")
     if not 1 <= n_samples <= MAX_SAMPLES:
         _fail("sampling.n_samples", f"must be in [1, {MAX_SAMPLES}], got {n_samples}")
-    if estimator not in ("", *ESTIMATORS):
-        _fail("sampling.estimator", f"must be one of {list(ESTIMATORS)} or absent")
+    try:
+        estimator = _estimator(sampling.get("estimator", ""), sampled[0])
+    except DomainError as exc:
+        _fail("sampling.estimator", str(exc))
 
     output = _object(raw, "output")
     out_path = output.get("path")
@@ -231,7 +235,7 @@ def parse_config(text: str) -> ExperimentConfig:
         profile=profile,
         mechanism=mech,
         mechanism_params=mechanism_params,
-        plan=plan,
+        sampled=sampled,
         constants=constants,
         checks=checks,
         n_samples=n_samples,
@@ -266,24 +270,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 0):
     numpy and Python versions, the worker count and os.cpu_count()) are the
     only fields that are not reproducible from the config and seed.
     """
-    k = int(config.constants.get("k", 1))
-    base = config.profile
     t0 = perf_counter()
-    exante = solve_exante(base, k=k)
+    exante = solve_exante(config.profile, k=config.constants["k"])
     t1 = perf_counter()
-    profile, constraint = base, NO_CONSTRAINT
-    if config.plan is not None:
-        profile, constraint = extend_profile(base, config.plan)
-    params = dict(config.mechanism_params)
-    if "k" in MECHANISM_PARAMS.get(config.mechanism, ()):
-        params.setdefault("k", k)
+    profile, constraint = config.sampled
     # estimate_revenue's two stages, run here so each can be timed
     t2 = perf_counter()
-    rev = sample_revenues(
-        profile, constraint, config.mechanism, config.n_samples, config.seed, workers, **params
-    )
+    rev = sample_revenues(profile, constraint, config.mechanism, config.n_samples, config.seed,
+                          workers, **config.mechanism_params)
     t3 = perf_counter()
-    est = _summarize(rev, config.seed, _estimator(config.estimator, profile))
+    est = _summarize(rev, config.seed, config.estimator)
     t4 = perf_counter()
     check_rows = []
     all_pass = True

@@ -593,6 +593,25 @@ def mechanism_names() -> tuple:
     return tuple(sorted(_MECHANISMS))
 
 
+def _mechanism_fault(mechanism: str, n: int, params: dict):
+    """Why sample_revenues refuses mechanism on n bidders with params, as (the
+    parameter at fault or None for the mechanism, the reason); None if it runs."""
+    if mechanism not in mechanism_names():
+        return None, f"unknown mechanism {mechanism!r}; use one of {mechanism_names()}"
+    for key in params:
+        if key not in MECHANISM_PARAMS.get(mechanism, ()):
+            return key, f"{mechanism} reads no parameter {key!r}"
+    if mechanism in ("vcg", "vcg_constrained"):
+        k = params.get("k")
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            return "k", f"{mechanism} needs an integer k >= 1, got {k!r}"
+    if mechanism == "posted":
+        prices = params.get("prices")
+        if not (isinstance(prices, (list, tuple)) and len(prices) == n
+                and all(isinstance(p, numbers.Real) for p in prices)):
+            return "prices", f"posted needs a prices list of {n} numbers, got {prices!r}"
+
+
 def sample_revenues(
     profile: cv.BidderProfile,
     constraint: PairConstraint,
@@ -603,22 +622,10 @@ def sample_revenues(
     **params,
 ) -> np.ndarray:
     """Per-sample revenue array; the estimators above are views over this."""
-    if mechanism not in _MECHANISMS:
-        raise DomainError(f"unknown mechanism {mechanism!r}; use one of {mechanism_names()}")
+    if fault := _mechanism_fault(mechanism, profile.n, params):
+        raise DomainError(fault[1])
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    for key in params:
-        if key not in MECHANISM_PARAMS.get(mechanism, ()):
-            raise DomainError(f"{mechanism} reads no parameter {key!r}")
-    if mechanism in ("vcg", "vcg_constrained"):
-        k = params.get("k")
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise DomainError(f"{mechanism} needs an integer k >= 1, got {k!r}")
-    if mechanism == "posted":
-        prices = params.get("prices")
-        if not (isinstance(prices, (list, tuple)) and len(prices) == profile.n
-                and all(isinstance(p, numbers.Real) for p in prices)):
-            raise DomainError(f"posted needs a prices list of {profile.n} numbers, got {prices!r}")
     if constraint is None:
         constraint = NO_CONSTRAINT
     kernel = _MECHANISMS[mechanism]

@@ -133,8 +133,15 @@ def test_config_plan_extends_as_its_constructor(tmp_path, mode, build, out_of_ra
     # every plan field is set, those the mode ignores too
     plan = {"mode": mode, "index": 1, "copies": 3, "indices": [2, 0],
             "pair_constrained": pair_constrained}
-    conf = cfg.parse_config(json.dumps({**BASE, "profile": _PLAN_PROFILE, "plan": plan}))
-    assert _extension(conf.profile, conf.plan) == _extension(conf.profile, build(pair_constrained))
+    text = json.dumps({**BASE, "profile": _PLAN_PROFILE, "plan": plan})
+    want = _extension(cfg.parse_config(json.dumps({**BASE, "profile": _PLAN_PROFILE})).profile,
+                      build(pair_constrained))
+    if isinstance(want, str):  # a plan its constructor cannot extend is refused at parse
+        with pytest.raises(ParseError, match="'plan.pair_constrained'"):
+            cfg.parse_config(text)
+        return
+    ext, con = cfg.parse_config(text).sampled
+    assert (ext.curves, ext.names, con.pairs) == want
     if out_of_range:
         raw = {**BASE, "profile": _PLAN_PROFILE, "plan": {**plan, **out_of_range}}
         assert main(["simulate", "--config", write_config(tmp_path, raw), "--samples", "10"]) == 2
