@@ -11,6 +11,7 @@ JSON output never holds NaN or infinity: a result that is not finite exits
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -26,10 +27,15 @@ from .duplication import (
     select_by_sample,
     select_k_set_noisy,
 )
-from .errors import DomainError, DupkitError, NonFiniteResult, ParseError
+from .errors import DomainError, DupkitError, HypothesisViolated, NonFiniteResult, ParseError
 from .examples import example_lbhr, example_n3, min_ratio_two_triangles
 from .exante import solve_exante
 from .verify import BUDGETS, verify_all
+
+# Largest --grid-steps: min_ratio_two_triangles holds six (N-1) x N float
+# arrays at once, 48 N^2 bytes, so 4,000 steps take 768 MB.
+MAX_GRID_STEPS = 4_000
+
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -69,6 +75,13 @@ def _samples_flag(args):
     return args.samples
 
 
+def _grid_steps_flag(args) -> int:
+    """--grid-steps, refused above MAX_GRID_STEPS before anything is allocated."""
+    if args.grid_steps > MAX_GRID_STEPS:
+        raise ParseError(f"--grid-steps must be at most {MAX_GRID_STEPS}, got {args.grid_steps}")
+    return args.grid_steps
+
+
 def _workers_flag(args) -> int:
     """--workers, refused below 0 before anything is drawn."""
     if args.workers is not None and args.workers < 0:
@@ -78,8 +91,18 @@ def _workers_flag(args) -> int:
 
 def _need(constants: dict, key: str) -> float:
     if key not in constants:
-        raise DomainError(f"config constants must include {key!r} for this rule")
+        raise ParseError(f"config field 'constants.{key}': this rule needs it")
     return float(constants[key])
+
+
+@contextlib.contextmanager
+def _rule_constants():
+    """A selection or classification rule's refusal of the constants it was
+    given, naming the config field."""
+    try:
+        yield
+    except (DomainError, HypothesisViolated) as exc:
+        raise type(exc)(f"config field 'constants': {exc}") from None
 
 
 def _cmd_exante(args) -> int:
@@ -115,25 +138,26 @@ def _cmd_select(args) -> int:
     constants = config.constants
     seed = args.seed if args.seed is not None else config.seed
     payload: dict = {"rule": args.rule}
-    if args.rule == "beta":
-        payload["selected"] = select_by_beta(config.profile, _need(constants, "beta"))
-    elif args.rule == "noisy":
-        reports = noisy_beta_reports(
-            config.profile, _need(constants, "beta"), _need(constants, "eps"), seed
-        )
-        payload["reports"] = reports
-        payload["selected"] = select_by_noisy_beta(reports)
-    elif args.rule == "sample":
-        rng = random.Random(seed)
-        samples = [cv.sample_value(c, rng.random()) for c in config.profile.curves]
-        payload["samples"] = samples
-        payload["selected"] = select_by_sample(samples)
-    else:  # kset
-        reports = noisy_beta_reports(
-            config.profile, _need(constants, "beta"), _need(constants, "eps"), seed
-        )
-        payload["reports"] = reports
-        payload["selected"] = sorted(select_k_set_noisy(reports, constants["k"]))
+    with _rule_constants():
+        if args.rule == "beta":
+            payload["selected"] = select_by_beta(config.profile, _need(constants, "beta"))
+        elif args.rule == "noisy":
+            reports = noisy_beta_reports(
+                config.profile, _need(constants, "beta"), _need(constants, "eps"), seed
+            )
+            payload["reports"] = reports
+            payload["selected"] = select_by_noisy_beta(reports)
+        elif args.rule == "sample":
+            rng = random.Random(seed)
+            samples = [cv.sample_value(c, rng.random()) for c in config.profile.curves]
+            payload["samples"] = samples
+            payload["selected"] = select_by_sample(samples)
+        else:  # kset
+            reports = noisy_beta_reports(
+                config.profile, _need(constants, "beta"), _need(constants, "eps"), seed
+            )
+            payload["reports"] = reports
+            payload["selected"] = sorted(select_k_set_noisy(reports, constants["k"]))
     _emit(payload, args.out, args.format or config.output_format)
     return 0
 
@@ -181,7 +205,7 @@ def _cmd_examples(args) -> int:
             "below_three_halves": upper < 1.5,
         }
     else:  # two-triangles
-        ratio, arg = min_ratio_two_triangles(args.grid_steps)
+        ratio, arg = min_ratio_two_triangles(_grid_steps_flag(args))
         payload = {"min_ratio": ratio, "argmin": arg}
     _emit(payload, args.out, args.format)
     return 0
@@ -192,21 +216,22 @@ def _cmd_classify(args) -> int:
     constants = config.constants
     k = constants["k"]
     sol = solve_exante(config.profile, k=k)
-    if k >= 2:
-        case = analysis.classify_k(
-            config.profile,
-            k,
-            _need(constants, "beta"),
-            _need(constants, "gamma"),
-            _need(constants, "delta"),
-            sol,
-        )
-        which = "k_items"
-    else:
-        case = analysis.classify_single(
-            config.profile, _need(constants, "alpha"), _need(constants, "beta"), sol
-        )
-        which = "single_item"
+    with _rule_constants():
+        if k >= 2:
+            case = analysis.classify_k(
+                config.profile,
+                k,
+                _need(constants, "beta"),
+                _need(constants, "gamma"),
+                _need(constants, "delta"),
+                sol,
+            )
+            which = "k_items"
+        else:
+            case = analysis.classify_single(
+                config.profile, _need(constants, "alpha"), _need(constants, "beta"), sol
+            )
+            which = "single_item"
     _emit(
         {"classifier": which, "case": case.which, "opt": sol.opt, "witness": case.witness},
         args.out,

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import analysis, curves as cv
 from .duplication import DuplicatePlan, extend_profile
-from .errors import ConcavityViolation, DomainError, ParseError
+from .errors import ConcavityViolation, DomainError, HypothesisViolated, ParseError
 from .exante import solve_exante
 from .simulate import MECHANISM_PARAMS, _estimator, _mechanism_fault, _summarize, sample_revenues
 
@@ -125,7 +125,7 @@ def _curve_from_spec(spec, pos: int, name: str) -> cv.RevenueCurve:
         if fmt == "equal_revenue":
             return cv.make_equal_revenue(float(body))
     except ConcavityViolation as exc:
-        raise ConcavityViolation(f"curve {name!r}: {exc}") from exc
+        raise ConcavityViolation(f"config field {field!r}: curve {name!r}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         _fail(field, f"bad {fmt} body: {exc}")
     _fail(field, f"unknown curve kind {fmt!r}")
@@ -214,6 +214,8 @@ def parse_config(text: str) -> ExperimentConfig:
             BOUND_FUNCS[name](constants)  # hypothesis gate, before any sampling
         except KeyError as exc:
             _fail("constants", f"bound {name!r} needs constant {exc}")
+        except (DomainError, HypothesisViolated) as exc:
+            raise type(exc)(f"config field 'constants': bound {name!r}: {exc}") from None
 
     sampling = _object(raw, "sampling")
     n_samples = _int(sampling.get("n_samples", 100_000), "sampling.n_samples")
@@ -227,6 +229,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     output = _object(raw, "output")
     out_path = output.get("path")
+    if not isinstance(out_path, (str, type(None))):
+        _fail("output.path", f"must be a string or absent, got {out_path!r}")
     out_format = output.get("format", "json")
     if out_format not in ("json", "csv"):
         _fail("output.format", "must be 'json' or 'csv'")

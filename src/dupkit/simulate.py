@@ -58,7 +58,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -74,7 +73,7 @@ from .errors import (
     ProfileMismatch,
     UnboundedExpectation,
 )
-from .mechanisms import NO_CONSTRAINT, PairConstraint
+from .mechanisms import NO_CONSTRAINT, PairConstraint, _price_ok
 
 PLAIN = "plain"
 MEDIAN_OF_MEANS = "median_of_means"
@@ -608,8 +607,8 @@ def _mechanism_fault(mechanism: str, n: int, params: dict):
     if mechanism == "posted":
         prices = params.get("prices")
         if not (isinstance(prices, (list, tuple)) and len(prices) == n
-                and all(isinstance(p, numbers.Real) for p in prices)):
-            return "prices", f"posted needs a prices list of {n} numbers, got {prices!r}"
+                and all(map(_price_ok, prices))):
+            return "prices", f"posted needs a list of {n} prices >= 0, got {prices!r}"
 
 
 def sample_revenues(

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -314,6 +315,24 @@ def test_cli_simulate_bad_k_is_usage_error(tmp_path, mechanism, k):
     assert json.loads(proc.stderr)["error"] == "DomainError"
 
 
+# Configs whose fields each pass alone but that describe no run BASE's two
+# bidders can make, and the field each refusal names.
+_BAD_RUNS = {
+    "plan-index-out-of-range": ({"plan": {"mode": "single_of", "index": 7}}, "'plan.index'"),
+    "plan-indices-out-of-range": ({"plan": {"mode": "set_once", "indices": [0, 5]}},
+                                  "'plan.indices'"),
+    "pair-constrained-copies": (
+        {"plan": {"mode": "k_copies_of", "copies": 2, "pair_constrained": True}},
+        "'plan.pair_constrained'"),
+    "posted-prices-short-of-clones": (
+        {"mechanism": "posted", "mechanism_params": {"prices": [1.0, 1.0]},
+         "plan": {"mode": "all_once"}}, "'mechanism_params.prices'"),
+    "posted-negative-prices": ({"mechanism": "posted", "mechanism_params": {"prices": [-1, -1]}},
+                               "'mechanism_params.prices'"),
+    "output-path-bool": ({"output": {"path": True}}, "'output.path'"),
+}
+
+
 @pytest.mark.parametrize(
     "command, change, field",
     [
@@ -347,13 +366,15 @@ def test_cli_simulate_bad_k_is_usage_error(tmp_path, mechanism, k):
         ("simulate", {"mechanism": "spa", "mechanism_params": {"k": 3}}, "'mechanism_params.k'"),
         ("simulate", {"mechanism": "spa", "mechanism_params": {"prices": [1.0, 0.5]}},
          "'mechanism_params.prices'"),
-    ],
+        ("classify", {"constants": {"beta": 0.4}}, "'constants.alpha'"),
+    ] + [("exante", change, field) for change, field in _BAD_RUNS.values()],
     ids=["inf-piecewise", "inf-triangle", "nan-point-mass", "inf-equal-revenue", "plan-string",
          "plan-index", "n-samples", "estimator", "posted-no-prices", "posted-short-prices",
          "checks-not-list", "constant-not-number", "names-not-list", "plan-index-float",
          "k-float", "n-samples-bool", "pair-constrained-string", "n-samples-huge-float",
          "n-samples-huge-int", "classify-k-zero", "classify-k-negative",
-         "plan-copies-huge", "mechanism-params-unknown", "spa-with-k", "spa-with-prices"],
+         "plan-copies-huge", "mechanism-params-unknown", "spa-with-k", "spa-with-prices",
+         "classify-no-alpha", *_BAD_RUNS],
 )
 def test_cli_bad_input_is_usage_error(tmp_path, command, change, field):
     path = write_config(tmp_path, {**BASE, **change})
@@ -365,6 +386,19 @@ def test_cli_bad_input_is_usage_error(tmp_path, command, change, field):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert field in json.loads(proc.stderr)["detail"]
+
+
+@pytest.mark.parametrize("name", list(_BAD_RUNS))
+def test_every_command_refuses_a_bad_run_by_field(tmp_path, capsys, monkeypatch, name):
+    # refused at parse: no command solves the ex ante relaxation or draws
+    monkeypatch.setattr(cli, "solve_exante", None)
+    monkeypatch.setattr(cfg, "solve_exante", None)
+    change, field = _BAD_RUNS[name]
+    path = write_config(tmp_path, {**BASE, **change})
+    for argv in (["exante"], ["classify"], ["select", "--rule", "beta"], ["simulate"]):
+        assert main([*argv, "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and field in json.loads(err)["detail"]
 
 
 # Each subcommand's arguments without the flag; argparse rejects the flag
@@ -399,6 +433,13 @@ def test_cli_samples_flag_above_maximum_is_parse_error(tmp_path, capsys, argv):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError" and "--samples" in err["detail"]
     assert cfg.parse_config(json.dumps({**BASE, "sampling": {"n_samples": cfg.MAX_SAMPLES}}))
+
+
+def test_cli_grid_steps_above_maximum_is_parse_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "min_ratio_two_triangles", None)  # refused before any grid is built
+    assert main(["examples", "two-triangles", "--grid-steps", str(cli.MAX_GRID_STEPS + 1)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError" and "--grid-steps" in err["detail"]
 
 
 def test_cli_negative_workers_is_parse_error(tmp_path, capsys):
@@ -516,6 +557,24 @@ _values = st.recursive(
 )
 
 
+# Plans and posted prices drawn against the profile's four bidders; the
+# base plan's two clones make the posted mechanism's bidders six.
+_plans = st.fixed_dictionaries(
+    {"mode": st.sampled_from(sorted(cfg.PLAN_SOURCES))},
+    optional={"index": st.integers(-1, 5), "copies": st.integers(1, 3),
+              "indices": st.lists(st.integers(-1, 5), max_size=4), "pair_constrained": st.booleans()},
+)
+_prices = st.lists(st.one_of(st.floats(-1, 3), st.sampled_from([math.nan, math.inf, 0, True])),
+                   min_size=5, max_size=7)
+_edits = st.one_of(
+    st.tuples(st.sampled_from(_FUZZ_PATHS), st.one_of(st.just(None), _values),
+              st.booleans()).map(lambda edit: [edit]),
+    _plans.map(lambda plan: [(("plan",), plan, False)]),
+    _prices.map(lambda prices: [(("mechanism",), "posted", False),
+                                (("mechanism_params",), {"prices": prices}, False)]),
+)
+
+
 def _strict_json(text):
     def refuse(name):
         raise ValueError(f"non-finite number {name} in output")
@@ -524,20 +583,21 @@ def _strict_json(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_FUZZ_PATHS), st.one_of(st.just(None), _values), st.booleans(),
-       st.sampled_from(["simulate", "exante", "classify"]))
-@example(("plan", "copies"), 10**30, False, "simulate")
-@example(("mechanism_params",), {"seed": 1}, False, "simulate")
-@example(("mechanism_params", "k"), True, False, "simulate")
-def test_cli_config_fuzz_keeps_exit_contract(path, value, delete, command):
+@given(_edits, st.sampled_from(["simulate", "exante", "classify"]))
+@example([(("plan", "copies"), 10**30, False)], "simulate")
+@example([(("mechanism_params",), {"seed": 1}, False)], "simulate")
+@example([(("mechanism_params", "k"), True, False)], "simulate")
+@example([(("constants", "beta"), 12, False)], "classify")
+def test_cli_config_fuzz_keeps_exit_contract(edits, command):
     raw = json.loads(json.dumps(_FUZZ_BASE))
-    parent = raw
-    for key in path[:-1]:
-        parent = parent[key]
-    if delete and isinstance(parent, dict):
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
+    for path, value, delete in edits:
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
     with tempfile.TemporaryDirectory() as tmp:
         conf = os.path.join(tmp, "conf.json")
         with open(conf, "w") as fh:
@@ -549,5 +609,7 @@ def test_cli_config_fuzz_keeps_exit_contract(path, value, delete, command):
     assert code in (0, 1, 2)
     if err.getvalue():
         assert code != 0 and "error" in _strict_json(err.getvalue())
+    if code == 2:  # bad input names its config field, and a result that is not finite its own
+        assert re.search(r"(config|report) field '", _strict_json(err.getvalue())["detail"])
     if out.getvalue():
         _strict_json(out.getvalue())

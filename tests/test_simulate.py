@@ -434,6 +434,19 @@ def test_unread_mechanism_params_are_refused_before_drawing(monkeypatch, mechani
     assert drawn == []
 
 
+@pytest.mark.parametrize("prices", [[-1, -1], [0.5, math.nan], [math.inf, -0.5]])
+def test_posted_prices_below_zero_or_nan_are_refused(monkeypatch, prices):
+    # the kernel refuses them before drawing, and the scalar reference agrees
+    drawn = []
+    monkeypatch.setattr(simulate, "uniforms", lambda *a, **kw: drawn.append(a))
+    prof = cv.make_profile([cv.make_triangle(0.5, 0.5)] * 2)
+    with pytest.raises(DomainError, match="prices >= 0"):
+        sample_revenues(prof, NO_CONSTRAINT, "posted", 100, 0, prices=prices)
+    assert drawn == []
+    with pytest.raises(DomainError, match="prices must be numbers >= 0"):
+        run_posted(prices, [1.0, 1.0])
+
+
 def test_estimator_defaults():
     bounded = cv.make_profile([cv.make_triangle(0.5, 0.5)] * 2)
     heavy = cv.make_profile([cv.make_triangle(0.5, 0.5), cv.make_equal_revenue(1.0)])
