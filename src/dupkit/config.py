@@ -18,9 +18,12 @@ Shape:
       "output": {"path": "report.json", "format": "json"}
     }
 
-Everything but "profile" is optional.  Constants named by "checks" are
-validated against their formula hypotheses at parse time, so a run can
-never spend samples before discovering its constants are out of range.
+Everything but "profile" is optional.  The parse builds the run the config
+describes (the profile with the plan's clones appended, and the mechanism
+parameters with k defaulted from constants.k) and checks it, so every
+command refuses a bad config, naming its field, before any solve or draw.
+Constants named by "checks" are validated against their formula
+hypotheses at parse time too.
 """
 
 from __future__ import annotations
