@@ -11,7 +11,6 @@ JSON output never holds NaN or infinity: a result that is not finite exits
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import math
@@ -27,7 +26,7 @@ from .duplication import (
     select_by_sample,
     select_k_set_noisy,
 )
-from .errors import DomainError, DupkitError, HypothesisViolated, NonFiniteResult, ParseError
+from .errors import DomainError, DupkitError, NonFiniteResult, ParseError
 from .examples import example_lbhr, example_n3, min_ratio_two_triangles
 from .exante import solve_exante
 from .verify import BUDGETS, verify_all
@@ -95,16 +94,6 @@ def _need(constants: dict, key: str) -> float:
     return float(constants[key])
 
 
-@contextlib.contextmanager
-def _rule_constants():
-    """A selection or classification rule's refusal of the constants it was
-    given, naming the config field."""
-    try:
-        yield
-    except (DomainError, HypothesisViolated) as exc:
-        raise type(exc)(f"config field 'constants': {exc}") from None
-
-
 def _cmd_exante(args) -> int:
     config = _load_config(args.config)
     sol = solve_exante(config.profile, k=config.constants["k"])
@@ -138,7 +127,7 @@ def _cmd_select(args) -> int:
     constants = config.constants
     seed = args.seed if args.seed is not None else config.seed
     payload: dict = {"rule": args.rule}
-    with _rule_constants():
+    with cfg.constants_refused(f"rule {args.rule!r}"):
         if args.rule == "beta":
             payload["selected"] = select_by_beta(config.profile, _need(constants, "beta"))
         elif args.rule == "noisy":
@@ -216,7 +205,7 @@ def _cmd_classify(args) -> int:
     constants = config.constants
     k = constants["k"]
     sol = solve_exante(config.profile, k=k)
-    with _rule_constants():
+    with cfg.constants_refused("classify"):
         if k >= 2:
             case = analysis.classify_k(
                 config.profile,

@@ -28,6 +28,7 @@ hypotheses at parse time too.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -71,6 +72,16 @@ BOUND_FUNCS = {
     "k-noisy": lambda c: analysis.bound_k_noisy(c["beta"], c["gamma"], c["delta"], c["eps"]),
     "warmup": lambda c: analysis.warmup_constant(),
 }
+
+
+@contextlib.contextmanager
+def constants_refused(rule: str):
+    """A bound's or rule's refusal of the constants it was given, naming the
+    config field."""
+    try:
+        yield
+    except (DomainError, HypothesisViolated) as exc:
+        raise type(exc)(f"config field 'constants': {rule}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -214,11 +225,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if name not in BOUND_FUNCS:
             _fail("checks", f"unknown bound {name!r}; use one of {sorted(BOUND_FUNCS)}")
         try:
-            BOUND_FUNCS[name](constants)  # hypothesis gate, before any sampling
+            with constants_refused(f"bound {name!r}"):
+                BOUND_FUNCS[name](constants)  # hypothesis gate, before any sampling
         except KeyError as exc:
             _fail("constants", f"bound {name!r} needs constant {exc}")
-        except (DomainError, HypothesisViolated) as exc:
-            raise type(exc)(f"config field 'constants': bound {name!r}: {exc}") from None
 
     sampling = _object(raw, "sampling")
     n_samples = _int(sampling.get("n_samples", 100_000), "sampling.n_samples")

@@ -205,19 +205,20 @@ def run_spald(profile: cv.BidderProfile, bids, dup_draw: float) -> AuctionOutcom
 
 
 def _price_ok(p) -> bool:
-    """A posted price is a real number >= 0, so not NaN; an infinite price
-    offers the item to no one."""
-    return isinstance(p, numbers.Real) and p >= 0.0
+    """A posted price is a real number >= 0, so not NaN or a bool; an infinite
+    price offers the item to no one."""
+    return isinstance(p, numbers.Real) and not isinstance(p, bool) and p >= 0.0
 
 
 def run_posted(prices, bids) -> AuctionOutcome:
     """Sequential posted prices: first bidder whose bid meets its price buys."""
     bids = _check_bids(bids)
-    prices = [float(p) for p in prices]
+    prices = list(prices)
     if len(prices) != len(bids):
         raise ProfileMismatch(f"{len(prices)} prices for {len(bids)} bids")
     if not all(map(_price_ok, prices)):
         raise DomainError(f"posted prices must be numbers >= 0, got {prices}")
+    prices = [float(p) for p in prices]
     for i, (p, b) in enumerate(zip(prices, bids)):
         if b >= p:
             return _outcome([(i, p)])

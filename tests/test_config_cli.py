@@ -140,9 +140,9 @@ def test_config_plan_extends_as_its_constructor(tmp_path, mode, build, out_of_ra
     if isinstance(want, str):  # a plan its constructor cannot extend is refused at parse
         with pytest.raises(ParseError, match="'plan.pair_constrained'"):
             cfg.parse_config(text)
-        return
-    ext, con = cfg.parse_config(text).sampled
-    assert (ext.curves, ext.names, con.pairs) == want
+    else:
+        ext, con = cfg.parse_config(text).sampled
+        assert (ext.curves, ext.names, con.pairs) == want
     if out_of_range:
         raw = {**BASE, "profile": _PLAN_PROFILE, "plan": {**plan, **out_of_range}}
         assert main(["simulate", "--config", write_config(tmp_path, raw), "--samples", "10"]) == 2
@@ -329,6 +329,8 @@ _BAD_RUNS = {
          "plan": {"mode": "all_once"}}, "'mechanism_params.prices'"),
     "posted-negative-prices": ({"mechanism": "posted", "mechanism_params": {"prices": [-1, -1]}},
                                "'mechanism_params.prices'"),
+    "posted-bool-prices": ({"mechanism": "posted", "mechanism_params": {"prices": [True, True]}},
+                           "'mechanism_params.prices'"),
     "output-path-bool": ({"output": {"path": True}}, "'output.path'"),
 }
 
@@ -566,9 +568,7 @@ _plans = st.fixed_dictionaries(
 )
 _prices = st.lists(st.one_of(st.floats(-1, 3), st.sampled_from([math.nan, math.inf, 0, True])),
                    min_size=5, max_size=7)
-_edits = st.one_of(
-    st.tuples(st.sampled_from(_FUZZ_PATHS), st.one_of(st.just(None), _values),
-              st.booleans()).map(lambda edit: [edit]),
+_run_edits = st.one_of(
     _plans.map(lambda plan: [(("plan",), plan, False)]),
     _prices.map(lambda prices: [(("mechanism",), "posted", False),
                                 (("mechanism_params",), {"prices": prices}, False)]),
@@ -582,13 +582,9 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_edits, st.sampled_from(["simulate", "exante", "classify"]))
-@example([(("plan", "copies"), 10**30, False)], "simulate")
-@example([(("mechanism_params",), {"seed": 1}, False)], "simulate")
-@example([(("mechanism_params", "k"), True, False)], "simulate")
-@example([(("constants", "beta"), 12, False)], "classify")
-def test_cli_config_fuzz_keeps_exit_contract(edits, command):
+def _run_edited_config(edits, command):
+    """Run command on _FUZZ_BASE with each (path, value, delete) edit applied,
+    and check the exit-code contract."""
     raw = json.loads(json.dumps(_FUZZ_BASE))
     for path, value, delete in edits:
         parent = raw
@@ -613,3 +609,20 @@ def test_cli_config_fuzz_keeps_exit_contract(edits, command):
         assert re.search(r"(config|report) field '", _strict_json(err.getvalue())["detail"])
     if out.getvalue():
         _strict_json(out.getvalue())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FUZZ_PATHS), st.one_of(st.just(None), _values), st.booleans(),
+       st.sampled_from(["simulate", "exante", "classify"]))
+@example(("plan", "copies"), 10**30, False, "simulate")
+@example(("mechanism_params",), {"seed": 1}, False, "simulate")
+@example(("mechanism_params", "k"), True, False, "simulate")
+@example(("constants", "beta"), 12, False, "classify")
+def test_cli_config_fuzz_keeps_exit_contract(path, value, delete, command):
+    _run_edited_config([(path, value, delete)], command)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_run_edits, st.sampled_from(["simulate", "exante", "classify"]))
+def test_cli_plan_and_price_fuzz_keeps_exit_contract(edits, command):
+    _run_edited_config(edits, command)

@@ -434,7 +434,7 @@ def test_unread_mechanism_params_are_refused_before_drawing(monkeypatch, mechani
     assert drawn == []
 
 
-@pytest.mark.parametrize("prices", [[-1, -1], [0.5, math.nan], [math.inf, -0.5]])
+@pytest.mark.parametrize("prices", [[-1, -1], [0.5, math.nan], [math.inf, -0.5], [True, True]])
 def test_posted_prices_below_zero_or_nan_are_refused(monkeypatch, prices):
     # the kernel refuses them before drawing, and the scalar reference agrees
     drawn = []
