@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import random
 import sys
 import warnings
@@ -62,6 +63,31 @@ def _emit(payload: dict, out_path, out_format: str) -> None:
         sys.stdout.write(text)
 
 
+def _unwritable(path: str) -> str | None:
+    """Why a report cannot be written to path, or None if it can."""
+    if os.path.isdir(path):
+        return "it is a directory"
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        return f"folder {folder!r} does not exist"
+    if not os.access(folder, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        return "it is not writable"
+    return None
+
+
+def _report_path(args, config: cfg.ExperimentConfig | None):
+    """Where the report goes: --out, else the output.path of config (given
+    by the commands that write there), else stdout (None).  A path that
+    cannot be written is refused before any solve or draw, naming its flag
+    or field."""
+    path, name = args.out, "--out"
+    if not path and config is not None:
+        path, name = config.output_path, "config field 'output.path'"
+    if path and (why := _unwritable(path)):
+        raise ParseError(f"{name}: cannot write the report to {path!r}: {why}")
+    return path
+
+
 def _load_config(path: str) -> cfg.ExperimentConfig:
     with open(path) as fh:
         return cfg.parse_config(fh.read())
@@ -96,6 +122,7 @@ def _need(constants: dict, key: str) -> float:
 
 def _cmd_exante(args) -> int:
     config = _load_config(args.config)
+    out = _report_path(args, None)
     sol = solve_exante(config.profile, k=config.constants["k"])
     _emit(
         {
@@ -105,7 +132,7 @@ def _cmd_exante(args) -> int:
             "quantiles": list(sol.quantiles),
             "names": list(config.profile.names or ()),
         },
-        args.out,
+        out,
         args.format or config.output_format,
     )
     return 0
@@ -117,13 +144,15 @@ def _cmd_simulate(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     if _samples_flag(args) is not None:
         config = dataclasses.replace(config, n_samples=args.samples)
+    out = _report_path(args, config)
     report, code = cfg.run_experiment(config, workers=_workers_flag(args))
-    _emit(report, args.out or config.output_path, args.format or config.output_format)
+    _emit(report, out, args.format or config.output_format)
     return code
 
 
 def _cmd_select(args) -> int:
     config = _load_config(args.config)
+    out = _report_path(args, None)
     constants = config.constants
     seed = args.seed if args.seed is not None else config.seed
     payload: dict = {"rule": args.rule}
@@ -147,11 +176,12 @@ def _cmd_select(args) -> int:
             )
             payload["reports"] = reports
             payload["selected"] = sorted(select_k_set_noisy(reports, constants["k"]))
-    _emit(payload, args.out, args.format or config.output_format)
+    _emit(payload, out, args.format or config.output_format)
     return 0
 
 
 def _cmd_bounds(args) -> int:
+    out = _report_path(args, None)
     constants = {
         name: val
         for name, val in (
@@ -169,13 +199,14 @@ def _cmd_bounds(args) -> int:
         raise DomainError(f"bound {args.which!r} needs constant {exc}")
     _emit(
         {"which": args.which, "constants": constants, "value": value},
-        args.out,
+        out,
         args.format,
     )
     return 0
 
 
 def _cmd_examples(args) -> int:
+    out = _report_path(args, None)
     if args.which == "lbhr":
         rep = example_lbhr()
         payload = dataclasses.asdict(rep)
@@ -196,12 +227,13 @@ def _cmd_examples(args) -> int:
     else:  # two-triangles
         ratio, arg = min_ratio_two_triangles(_grid_steps_flag(args))
         payload = {"min_ratio": ratio, "argmin": arg}
-    _emit(payload, args.out, args.format)
+    _emit(payload, out, args.format)
     return 0
 
 
 def _cmd_classify(args) -> int:
     config = _load_config(args.config)
+    out = _report_path(args, None)
     constants = config.constants
     k = constants["k"]
     sol = solve_exante(config.profile, k=k)
@@ -223,7 +255,7 @@ def _cmd_classify(args) -> int:
             which = "single_item"
     _emit(
         {"classifier": which, "case": case.which, "opt": sol.opt, "witness": case.witness},
-        args.out,
+        out,
         args.format or config.output_format,
     )
     return 0

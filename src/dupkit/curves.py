@@ -94,6 +94,12 @@ class RevenueCurve:
         """The breakpoint table, built on first use and kept on the curve."""
         return CurveTable(self)
 
+    @cached_property
+    def breakpoint_prices(self) -> np.ndarray:
+        """value at each of the table's breakpoints (at EPS_MIN for q = 0),
+        the prices Myerson's auction charges; built on first use and kept."""
+        return np.array([value(self, max(q, EPS_MIN)) for q in self.table.qs])
+
 
 @dataclass(frozen=True)
 class BidderProfile:

@@ -10,13 +10,19 @@ Sampling runs in chunks that start at multiples of _CHUNK = 2^14 draws; a
 remainder shorter than half a chunk joins the chunk before it.  Per chunk,
 sample_revenues fills each bidder's row with its uniforms, then their
 values (and segment indices) under its curve; spald also gets row n + j,
-its late duplicate of bidder j, under curve j.  A mechanism kernel only
-reduces the rows, column by column.  A value is computed as curves.value
-computes it, so cv.sample_value(c, u) is the sampled value of u: a bounded
-curve's first segment runs through the origin, so its draws read that
-segment's slope exactly, and any other draw reads curves.rev's segment
-expression over q.  A bounded curve with one segment (a point mass) thus
-has a constant row, which draws no uniforms and skips the row store.
+its late duplicate of bidder j, under curve j.  paired_compare runs the
+same loop over both profiles' rows, keyed by (substream, curve), so a row
+the two share is drawn once per chunk.  A mechanism kernel only reduces
+the rows, column by column: the order-statistic kernels rank them with
+_top, which names the row in each slot by its index, and resolve what
+they need of the winners (a price, a reserve, a duplicate's value or a
+rival) from those indices once per chunk.  A value is computed as
+curves.value computes it, so cv.sample_value(c, u) is the sampled value
+of u: a bounded curve's first segment runs through the origin, so its
+draws read that segment's slope exactly, and any other draw reads
+curves.rev's segment expression over q.  A bounded curve with one segment
+(a point mass) thus has a constant row, which draws no uniforms and skips
+the row store.
 A row is a pure function of (seed, bidder index, curve, chunk), so callers
 that score many environments at one seed would redraw identical rows.
 Each thread keeps a store of its own (_row_store), which needs no lock.
@@ -56,7 +62,6 @@ its tolerance.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -258,20 +263,6 @@ def _phi(t: cv.CurveTable, seg, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _win_region_edge(t: cv.CurveTable, strict: np.ndarray, weak: np.ndarray) -> np.ndarray:
-    """Index j of the first segment whose slope fails >= 0, > strict or >= weak.
-
-    Slopes are a non-increasing step function of q, so each condition
-    admits a prefix of segments, and qs[j] (qs[-1] = 1 when every segment
-    passes) is the largest quantile whose slope meets all three.
-    """
-    neg = -t.slope_arr  # ascending
-    j_nonneg = np.searchsorted(neg, 0.0, side="right")
-    j_strict = np.searchsorted(neg, -np.asarray(strict), side="left")
-    j_weak = np.searchsorted(neg, -np.asarray(weak), side="right")
-    return np.minimum(np.minimum(j_strict, j_weak), j_nonneg)
-
-
 class _RowStore:
     """Least-recently-used store of sampled rows under a byte budget.
 
@@ -391,50 +382,47 @@ class _Chunk:
     hi: int
 
 
-def _top(entries, r: int, carry: int = 0):
-    """Stable running top-r of (row, payload) entries, column by column.
+def _top(rows, r: int, carry: int = 0):
+    """Stable running top-r of a sequence of rows, column by column.
 
-    Returns (top, pay): top[s] is the (s+1)-th largest row value of each
+    Returns (top, who): top[s] is the (s+1)-th largest value of each
     column, bit for bit ``np.partition(v, n-1-s, axis=0)[n-1-s]``, as values
     only move by np.maximum/np.minimum compare-exchanges.  For s < carry,
-    pay[s] is the payload (a number or a row) of the entry that
-    ``np.argsort(-v, axis=0, kind="stable")[s]`` names: an entry passes slot
-    s exactly where it is > top[s], so ties keep the earlier entry ahead,
-    and from there on it and each entry it displaces move down one slot.
-    Payloads are float64 and move by an xor swap of their bits, exact and
-    branch-free where a masked copy pays a branch per element.  Slots left
-    empty by fewer than r entries read -inf, with payload -1.  An entry is
-    read in full before the next is drawn, so entries may share one buffer.
+    who[s] is the index of the row in slot s, the one that
+    ``np.argsort(-v, axis=0, kind="stable")[s]`` names: a row passes slot s
+    exactly where it is > top[s], so ties keep the earlier row ahead, and
+    from there on it and each index it displaces move down one slot.
+    Indices take the narrowest unsigned dtype that holds n = len(rows)
+    (uint8 up to 255 rows) and move by an xor swap, branch-free where a
+    masked copy pays a branch per element.  Slots left empty by fewer than
+    r rows read -inf, with index n.
 
     Every order-statistic kernel reduces its rows here: spa and vcg read
-    top alone; vcg_constrained carries each pool entry's rival row, myerson
-    each bidder's index, lookahead each bidder's monopoly reserve and spald
-    each bidder's late-duplicate row, so the winners' come back with top.
+    top alone, and the others resolve the winners they need from who once
+    per chunk (myerson the winner's price and value, lookahead its reserve,
+    spald its late duplicate and vcg_constrained each winner's rival).
     """
-    entries = iter(entries)
-    first = next(entries)
-    width = first[0].shape[0]
-    top, pay = np.empty((r, width)), np.empty((carry, width))
+    n, width = len(rows), rows[0].shape[0]
+    top = np.empty((r, width))
+    who = np.empty((carry, width), dtype=np.min_scalar_type(n))
     bufs = (np.empty(width), np.empty(width))  # the moving value and scratch, by turns
-    held = np.empty(width)  # the payload moving with it
-    pay_bits, held_bits = pay.view(np.uint64), held.view(np.uint64)
+    held = np.empty(width, dtype=who.dtype)  # the index moving with it
+    diff = np.empty_like(held)
     passes = np.empty(width, dtype=bool)
-    filled = 0
-    for row, p in itertools.chain([first], entries):
-        if carry:
-            np.copyto(held, p)
-        x = row  # the value moving down: the entry's, then each one it displaces
-        for s in range(min(filled, r)):
+    for e, row in enumerate(rows):
+        held.fill(e)
+        x = row  # the value moving down: the row's, then each one it displaces
+        for s in range(min(e, r)):
             # free takes the value t pushes down: scratch (x is row or the
             # other buffer), or the empty slot it is about to open
-            t, free = top[s], (top[filled] if s + 1 == filled < r else bufs[s % 2])
+            t, free = top[s], (top[e] if s + 1 == e < r else bufs[s % 2])
             if s < carry:
-                # free holds the xor of the two payloads' bits where the
-                # entry passes slot s, else 0
-                diff = np.bitwise_xor(pay_bits[s], held_bits, out=free.view(np.uint64))
+                # diff is the xor of the two indices where the row passes
+                # slot s, else 0
+                np.bitwise_xor(who[s], held, out=diff)
                 np.multiply(diff, np.greater(row, t, out=passes), out=diff)
-                np.bitwise_xor(pay_bits[s], diff, out=pay_bits[s])
-                np.bitwise_xor(held_bits, diff, out=held_bits)
+                np.bitwise_xor(who[s], diff, out=who[s])
+                np.bitwise_xor(held, diff, out=held)
             if s == r - 1:  # the last slot keeps the larger and drops the rest
                 np.maximum(t, x, out=t)
                 break
@@ -442,21 +430,45 @@ def _top(entries, r: int, carry: int = 0):
             np.maximum(t, x, out=t)
             x = free
         else:  # fewer than r slots so far: the moving value opens one
-            if not filled:
+            if not e:
                 top[0] = row
-            if filled < carry:
-                pay[filled] = held
-            filled += 1
-    top[filled:] = -np.inf
-    pay[filled:] = -1.0
-    return top, pay
+            if e < carry:
+                who[e] = held
+    top[n:] = -np.inf
+    who[n:] = n
+    return top, who
+
+
+def _pick(rows, who: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rows[who[c]][c] in each column c, bit for bit, into out.
+
+    out starts as rows[0], and each later row e takes over where who is e:
+    the xor of its bits with out's, zeroed elsewhere, is xored into out,
+    branch-free where a masked copy pays a branch per element.
+    """
+    bits = out.view(np.uint64)
+    np.copyto(out, rows[0])
+    diff, hit = np.empty_like(bits), np.empty(who.shape, dtype=bool)
+    for e in range(1, len(rows)):
+        np.bitwise_xor(bits, rows[e].view(np.uint64), out=diff)
+        np.multiply(diff, np.equal(who, e, out=hit), out=diff)
+        np.bitwise_xor(bits, diff, out=bits)
+    return out
+
+
+def _sold(price: np.ndarray, sold: np.ndarray) -> np.ndarray:
+    """price where sold, else 0.0, in place: price's bits times sold,
+    branch-free where np.where against a scalar pays a branch per element."""
+    bits = price.view(np.uint64)
+    np.multiply(bits, sold, out=bits)
+    return price
 
 
 def _rev_vcg_k(curves, constraint, ch, params):
     k = params["k"]
     if len(ch.v) <= k:
         return np.zeros(ch.hi - ch.lo)
-    return k * _top(((x, None) for x in ch.v), k + 1)[0][k]
+    return k * _top(ch.v, k + 1)[0][k]
 
 
 def _rev_spa(curves, constraint, ch, params):
@@ -472,76 +484,86 @@ def _rev_vcg_constrained(curves, constraint, ch, params):
     # and one per unpaired bidder (rival 0).  Top-k pool entries win and
     # each pays the larger of the (k+1)-st pool value and its rival.
     entries = [(i, j) for i, j in enumerate(partner) if j < 0 or i < j]
+    rival = np.zeros((len(entries), width))
+    for row, (i, j) in zip(rival, entries):
+        if j >= 0:
+            np.minimum(v[i], v[j], out=row)
     if len(entries) <= k:  # every entry wins and pays its rival
-        rival = np.zeros((len(entries), width))
-        for row, (i, j) in zip(rival, entries):
-            if j >= 0:
-                np.minimum(v[i], v[j], out=row)
         return rival.sum(axis=0)
+    pool = [v[i] if j < 0 else np.maximum(v[i], v[j]) for i, j in entries]
     # The top k pool entries win, in the stable argsort's order; summing
     # their payments in that order keeps the bits of a sorted pool's sum.
-    pooled, rival = np.empty(width), np.empty(width)
-
-    def pool():
-        for i, j in entries:
-            if j < 0:
-                yield v[i], 0.0
-            else:
-                yield np.maximum(v[i], v[j], out=pooled), np.minimum(v[i], v[j], out=rival)
-
-    top, win_rival = _top(pool(), k + 1, carry=k)
-    np.maximum(win_rival, top[k], out=win_rival)
-    return win_rival.sum(axis=0)
-
-
-def _rivals(phis):
-    """(best, winner, strict, weak) of (virtual value row, bidder index) entries.
-
-    The winner is the first bidder with the highest virtual value, so it
-    must beat earlier bidders strictly and later ones weakly.  Only the
-    runner-up binds, the first bidder with the highest of the other values:
-    its value is the strict bar if it comes before the winner, else the
-    weak one, and the other bar is -inf.
-    """
-    (best, second), (win, runner) = _top(phis, 2, carry=2)
-    before = runner < win
-    return best, win, np.where(before, second, -np.inf), np.where(before, -np.inf, second)
+    top, who = _top(pool, k + 1, carry=k)
+    # each winner's rival, gathered from the rival block by flat index
+    at = who.astype(np.intp)
+    at *= width
+    at += np.arange(width)
+    pay = np.take(rival, at)
+    np.maximum(pay, top[k], out=pay)
+    return pay.sum(axis=0)
 
 
 def _rev_myerson(curves, constraint, ch, params):
+    """The first bidder with the highest virtual value wins if it is >= 0,
+    and pays the value at the largest quantile at which it still wins.
+
+    Slopes fall with q, so that quantile is the breakpoint qs[edge] of the
+    winner's curve (RevenueCurve.breakpoint_prices holds the value at each
+    one): edge counts the leading segments whose slope is >= 0 and beats
+    the runner-up's virtual value, strictly when the runner-up comes first
+    and weakly when it comes later, as the stable tie rule ranks them.  A
+    lone bidder's runner-up reads -inf, which every slope beats.
+
+    A bidder whose slopes are all < 0 (an unbounded tail's is -scale)
+    never wins, and as the runner-up its virtual value is beaten by every
+    slope that can set a price, so only the others are ranked.
+    """
+    live = [i for i, c in enumerate(curves) if c.table.slope_arr.max() >= 0.0]
     m = ch.hi - ch.lo
-    phi = np.empty(m)
-    best, win, strict, weak = _rivals(
-        (_phi(c.table, ch.seg[i], phi), i) for i, c in enumerate(curves)
-    )
-    # an unbounded tail's virtual value is -scale < 0, so it never wins
-    sold = best >= 0.0
-    out = np.zeros(m)
+    if not live:
+        return np.zeros(m)
+    curves = [curves[i] for i in live]
+    phi = np.empty((len(live), m))
+    for row, i, c in zip(phi, live, curves):
+        _phi(c.table, ch.seg[i], row)
+    (best, second), (win, runner) = _top(phi, 2, carry=2)
+    later = runner > win
+    segs = max(c.table.slope_arr.shape[0] for c in curves)
+    prices = np.zeros((len(live), segs + 1))
+    edge = np.zeros(m, dtype=np.min_scalar_type(segs))
+    mine, beats, tie = (np.empty(m, dtype=bool) for _ in range(3))
     for i, c in enumerate(curves):
-        cols = np.flatnonzero(sold & (win == i))
-        if cols.size:
-            # the price at each breakpoint, as run_myerson_single reads it
-            prices = np.array([cv.value(c, max(q, cv.EPS_MIN)) for q in c.table.qs])
-            pay = prices[_win_region_edge(c.table, strict[cols], weak[cols])]
-            out[cols] = np.minimum(pay, ch.v[i][cols])
-    return out
+        prices[i, : c.table.slope_arr.shape[0] + 1] = c.breakpoint_prices
+        # mine: where i wins, then where also each slope so far beats the bar
+        np.equal(win, i, out=mine)
+        for slope in c.table.slope_arr:
+            if not slope >= 0.0:
+                break
+            np.less(second, slope, out=beats)
+            np.logical_and(later, np.equal(second, slope, out=tie), out=tie)
+            np.logical_and(mine, np.logical_or(beats, tie, out=beats), out=mine)
+            edge += mine
+    at = win.astype(np.intp)
+    at *= segs + 1
+    at += edge
+    price = np.minimum(np.take(prices, at), _pick([ch.v[i] for i in live], win, np.empty(m)))
+    return _sold(price, best >= 0.0)
 
 
 def _rev_lookahead(curves, constraint, ch, params):
     """The top bidder is offered max(second value, its monopoly reserve).
 
-    Each bidder's reserve rides along as its payload, so each column gets
-    its top bidder's.  A lone bidder's second value reads -inf, and a
-    reserve is >= 0, so its price is its reserve, as in the scalar.
+    A lone bidder's second value reads -inf, and a reserve is >= 0, so its
+    price is its reserve, as in the scalar.
     """
-    reserves = [cv.monopoly_reserve(c) for c in curves]
-    (top_val, second), (reserve,) = _top(zip(ch.v, reserves), 2, carry=1)
-    price = np.maximum(second, reserve)
+    reserves = np.array([cv.monopoly_reserve(c) for c in curves])
+    (top_val, second), (win,) = _top(ch.v, 2, carry=1)
+    price = np.maximum(second, np.take(reserves, win))
     # a sampled atom draw equals its reserve exactly, but a bid handed to the
     # scalar may sit on it only up to float rounding, so the scalar's
     # acceptance test is tolerant and its payment capped, and so are these
     sold = top_val >= price * (1.0 - 1e-12)
-    return np.where(sold, np.minimum(price, top_val), 0.0)
+    return _sold(np.minimum(price, top_val, out=price), sold)
 
 
 def _rev_spald(curves, constraint, ch, params):
@@ -549,12 +571,12 @@ def _rev_spald(curves, constraint, ch, params):
 
     Row n + j of ch.v is bidder j's duplicate, the row its clone gets
     under an every-bidder-once extension, which couples this mechanism
-    with the duplicate SPA pathwise.  It rides along as bidder j's payload,
-    so each column gets its top bidder's.  A lone bidder's second value
-    reads -inf, and a value is >= 0, so the duplicate's value sets the price.
+    with the duplicate SPA pathwise.  A lone bidder's second value reads
+    -inf, and a value is >= 0, so the duplicate's value sets the price.
     """
     n = len(curves)
-    (top_val, second), (dup_val,) = _top(zip(ch.v[:n], ch.v[n:]), 2, carry=1)
+    (top_val, second), (win,) = _top(ch.v[:n], 2, carry=1)
+    dup_val = _pick(ch.v[n:], win, np.empty(ch.hi - ch.lo))
     np.maximum(second, dup_val, out=dup_val)
     return np.minimum(dup_val, top_val, out=dup_val)
 
@@ -611,26 +633,27 @@ def _mechanism_fault(mechanism: str, n: int, params: dict):
             return "prices", f"posted needs a list of {n} prices >= 0, got {prices!r}"
 
 
-def sample_revenues(
-    profile: cv.BidderProfile,
-    constraint: PairConstraint,
-    mechanism: str,
-    n_samples: int,
-    seed: int,
-    workers: int = 0,
-    **params,
-) -> np.ndarray:
-    """Per-sample revenue array; the estimators above are views over this."""
-    if fault := _mechanism_fault(mechanism, profile.n, params):
-        raise DomainError(fault[1])
+def _revenues(runs, mechanism: str, n_samples: int, seed: int, workers, params) -> np.ndarray:
+    """Per-draw revenue of the run runs[0], less that of runs[1] when given.
+
+    A run is a (profile, constraint).  Its row i draws substream i under
+    curve i, and spald's row n + j substream n + j under curve j.  Rows are
+    keyed by (substream, curve bits), and each distinct one is drawn once
+    per chunk, so two runs draw the rows they share once; both kernels read
+    them, and their difference goes chunk by chunk into one array.
+    """
+    for profile, _ in runs:
+        if fault := _mechanism_fault(mechanism, profile.n, params):
+            raise DomainError(fault[1])
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    if constraint is None:
-        constraint = NO_CONSTRAINT
     kernel = _MECHANISMS[mechanism]
-    curves = profile.curves
-    # row i draws substream i under drawn[i]; spald's duplicates come last
-    drawn = curves * 2 if mechanism == "spald" else curves
+    runs = [(profile, NO_CONSTRAINT if con is None else con) for profile, con in runs]
+    drawn, picks = {}, []  # (substream, curve bits) -> (row, substream, curve); rows per run
+    for profile, _ in runs:
+        curves = profile.curves * 2 if mechanism == "spald" else profile.curves
+        picks.append([drawn.setdefault((i, c.table.key), (len(drawn), i, c))[0]
+                      for i, c in enumerate(curves)])
     out = np.empty(n_samples)
     # Chunks start at multiples of _CHUNK, and a remainder shorter than half
     # a chunk joins the chunk before it, so no call ends on a sliver.
@@ -649,9 +672,16 @@ def sample_revenues(
         block = _scratch(3 + len(drawn), width)
         scratch, v = block[:3], block[3:]
         for lo, hi in spans:
-            vals, seg = zip(*(_value_row(rows, seed, i, c, lo, hi, scratch, v[i])
-                              for i, c in enumerate(drawn)))
-            out[lo:hi] = kernel(curves, constraint, _Chunk(vals, seg, lo, hi), params)
+            vals, seg = zip(*(_value_row(rows, seed, i, c, lo, hi, scratch, v[r])
+                              for r, i, c in drawn.values()))
+            revs = [kernel(profile.curves, con, _Chunk(tuple(vals[r] for r in pick),
+                                                       tuple(seg[r] for r in pick), lo, hi),
+                           params)
+                    for (profile, con), pick in zip(runs, picks)]
+            if len(revs) == 1:
+                out[lo:hi] = revs[0]
+            else:
+                np.subtract(*revs, out=out[lo:hi])
 
     if pooled:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -659,6 +689,19 @@ def sample_revenues(
     else:
         fill(spans)
     return out
+
+
+def sample_revenues(
+    profile: cv.BidderProfile,
+    constraint: PairConstraint,
+    mechanism: str,
+    n_samples: int,
+    seed: int,
+    workers: int = 0,
+    **params,
+) -> np.ndarray:
+    """Per-sample revenue array; the estimators above are views over this."""
+    return _revenues([(profile, constraint)], mechanism, n_samples, seed, workers, params)
 
 
 def _estimator(estimator: str, *profiles: cv.BidderProfile) -> str:
@@ -745,14 +788,17 @@ def paired_compare(
 
     Bidder i draws the same uniforms in both environments, so comparisons
     that hold pathwise (adding a bidder to a second-price auction, say)
-    show up with zero or tiny variance instead of two fat error bars.
+    show up with zero or tiny variance instead of two fat error bars.  A
+    row the two profiles share (same bidder index and curve) is drawn once
+    per chunk, and the result is bit for bit that of subtracting the two
+    sample_revenues arrays.
     """
     if profile_a.curves[0] != profile_b.curves[0]:
         raise ProfileMismatch("profiles must share a common original prefix")
     estimator = _estimator(estimator, profile_a, profile_b)
-    rev_a = sample_revenues(profile_a, constraint_a, mechanism, n_samples, seed, workers, **params)
-    rev_b = sample_revenues(profile_b, constraint_b, mechanism, n_samples, seed, workers, **params)
-    return _summarize(np.subtract(rev_a, rev_b, out=rev_a), seed, estimator)
+    runs = [(profile_a, constraint_a), (profile_b, constraint_b)]
+    diff = _revenues(runs, mechanism, n_samples, seed, workers, params)
+    return _summarize(diff, seed, estimator)
 
 
 def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) -> float:

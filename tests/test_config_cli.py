@@ -193,6 +193,43 @@ def test_cli_simulate_writes_file(tmp_path):
     assert report["mechanism"] == "spa"
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("ran before refusing the report path")
+
+
+@pytest.mark.parametrize("where", ["--out", "output.path", "missing-folder"])
+def test_cli_unwritable_report_path_is_refused_before_any_run(tmp_path, capsys, monkeypatch,
+                                                             where):
+    # a directory, or a file in a folder that does not exist, fails before
+    # any solve or draw, naming the flag or config field that gave it
+    monkeypatch.setattr(cfg, "sample_revenues", _refuse)
+    monkeypatch.setattr(cfg, "solve_exante", _refuse)
+    bad = str(tmp_path / "no-such-folder" / "r.json" if where == "missing-folder" else tmp_path)
+    raw, argv = dict(BASE), ["--out", bad]
+    if where == "output.path":
+        raw["output"], argv = {"path": bad}, []
+    path = write_config(tmp_path, raw)
+    assert main(["simulate", "--config", path, *argv]) == 2
+    out, err = capsys.readouterr()
+    err = json.loads(err)
+    assert out == "" and err["error"] == "ParseError"
+    assert ("config field 'output.path'" if where == "output.path" else "--out") in err["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exante", "--config"], ["classify", "--config"], ["select", "--rule", "beta", "--config"],
+    ["bounds", "--which", "warmup"], ["examples", "lbhr"], ["examples", "two-triangles"],
+])
+def test_every_command_refuses_a_directory_as_out(tmp_path, capsys, monkeypatch, argv):
+    for name in ("solve_exante", "example_lbhr", "min_ratio_two_triangles", "select_by_beta"):
+        monkeypatch.setattr(cli, name, _refuse)
+    if argv[-1] == "--config":
+        argv = [*argv, write_config(tmp_path, BASE)]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--out" in json.loads(err)["detail"]
+
+
 def test_cli_simulate_seed_override_changes_estimate(tmp_path, capsys):
     path = write_config(tmp_path, BASE)
     main(["simulate", "--config", path, "--seed", "1"])
@@ -626,3 +663,18 @@ def test_cli_config_fuzz_keeps_exit_contract(path, value, delete, command):
 @given(_run_edits, st.sampled_from(["simulate", "exante", "classify"]))
 def test_cli_plan_and_price_fuzz_keeps_exit_contract(edits, command):
     _run_edited_config(edits, command)
+
+
+# The fuzz above samples these cases; this sweep runs each of them: every
+# fuzz path set to each value below, or deleted, under every command that
+# reads a config, so a case such as constants.beta = 12 under classify is
+# always checked.
+_SWEEP_VALUES = [None, True, 0, -1, 12, 0.5, math.inf, 10**30, "spa", [1], {}]
+
+
+@pytest.mark.parametrize("command", ["simulate", "exante", "classify"])
+@pytest.mark.parametrize("value, delete", [(None, True)] + [(v, False) for v in _SWEEP_VALUES],
+                         ids=["delete", *map(repr, _SWEEP_VALUES)])
+@pytest.mark.parametrize("path", _FUZZ_PATHS, ids=lambda p: ".".join(map(str, p)))
+def test_cli_config_sweep_keeps_exit_contract(path, value, delete, command):
+    _run_edited_config([(path, value, delete)], command)

@@ -33,10 +33,9 @@ from dupkit.simulate import (
     _block_means,
     _Chunk,
     _median,
+    _pick,
     _rev_vcg_constrained,
-    _rivals,
     _top,
-    _win_region_edge,
     estimate_revenue,
     expected_order_stat,
     mechanism_names,
@@ -314,53 +313,65 @@ def test_order_statistics_match_numpy(columns):
     n = v.shape[0]
     order = np.argsort(-v, axis=0, kind="stable")
     empty = np.full(v.shape[1], -np.inf)
-    # payloads: each entry's index, or a row that differs in every column;
-    # table[i] is entry i's payload in each column
-    indices = np.broadcast_to(np.arange(n)[:, None], v.shape)
-    rows = np.arange(v.size, dtype=float).reshape(v.shape)
     for r in range(1, n + 2):  # r = n + 1 leaves one slot empty
         for carry in range(r + 1):
-            for payloads, table in ((range(n), indices), (rows, rows)):
-                top, pay = _top(zip(v, payloads), r, carry)
-                assert len(top) == r and len(pay) == carry
-                for j, row in enumerate(top):
-                    want = np.partition(v, n - 1 - j, axis=0)[n - 1 - j] if j < n else empty
-                    assert np.array_equal(row, want)
-                for j, row in enumerate(pay):
-                    # column by column, the payload of the entry ranked j-th
-                    want = (np.take_along_axis(table, order[j : j + 1], axis=0)[0] if j < n
-                            else np.full_like(row, -1.0))
-                    assert np.array_equal(row, want)
+            top, who = _top(v, r, carry)
+            assert len(top) == r and len(who) == carry
+            assert who.dtype == np.uint8
+            for s, row in enumerate(top):
+                want = np.partition(v, n - 1 - s, axis=0)[n - 1 - s] if s < n else empty
+                assert np.array_equal(row, want)
+            for s, row in enumerate(who):
+                # column by column, the index of the row ranked s-th; an
+                # empty slot reads the row count
+                assert np.array_equal(row, order[s] if s < n else np.full_like(row, n))
     assert np.array_equal(v, before)
 
 
+@given(tie_columns)
+def test_pick_reads_the_named_row_bit_for_bit(columns):
+    v = np.array(columns).T
+    rows = [np.negative(v[0])] + list(v[1:])  # -0.0 against 0.0 tells the bits apart
+    for who in np.argsort(-v, axis=0, kind="stable").astype(np.uint8):
+        want = np.array([rows[e][c] for c, e in enumerate(who)])
+        assert _pick(rows, who, np.empty(v.shape[1])).tobytes() == want.tobytes()
+
+
+def test_top_indices_take_the_narrowest_unsigned_type():
+    for n, dtype in ((3, np.uint8), (255, np.uint8), (256, np.uint16)):
+        v = np.arange(n, dtype=float)[:, None] % 7  # ties across rows
+        top, who = _top(v, 3, carry=2)
+        assert who.dtype == dtype
+        assert who[:, 0].tolist() == np.argsort(-v[:, 0], kind="stable")[:2].tolist()
+
+
 # Slopes 2, 1, 0.5 and -0.5: a virtual value equal to one of them is where
-# a strict and a weak rival bar give different edges.
+# a strict and a weak runner-up bar give different prices.  _BUMP_CURVE's
+# slopes are 1, 0.5 and 0.5 + 1e-12, which concavity's tolerance admits:
+# its winners' price breakpoint is the first segment that fails the bar, and
+# a count of every passing segment paid a breakpoint too far on 619 of 2,000
+# three-bidder draws.
 _EDGE_CURVE = cv.make_piecewise([(0.0, 0.0), (0.2, 0.4), (0.4, 0.6), (0.6, 0.7), (1.0, 0.5)])
-virtual_value_columns = st.integers(1, 9).flatmap(
-    lambda n: st.lists(
-        st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.0, -0.0, -0.5, 1.5]), min_size=n, max_size=n),
-        min_size=1,
-        max_size=6,
-    )
-)
+_BUMP_CURVE = cv.make_piecewise([(0, 0), (0.2, 0.2), (0.4, 0.3), (0.6, 0.4 + 0.2e-12), (1.0, 0.3)])
+_REPEATS = [_EDGE_CURVE, _BUMP_CURVE, cv.make_triangle(0.5, 0.5), cv.make_point_mass(0.5),
+            cv.make_equal_revenue(0.5), cv.make_piecewise([(0, 0), (0.5, 1.0), (1.0, 0.5)])]
 
 
-@given(virtual_value_columns)
-def test_myerson_runner_up_matches_masked_rivals(columns):
-    phi = np.array(columns).T  # (n bidders, m draws)
-    before = phi.copy()
-    rank = np.arange(phi.shape[0])[:, None]
-    win = np.argmax(phi, axis=0)
-    strict = np.where(rank < win, phi, -np.inf).max(axis=0)
-    weak = np.where(rank > win, phi, -np.inf).max(axis=0)
-    got_best, got_win, got_strict, got_weak = _rivals((x, i) for i, x in enumerate(phi))
-    assert np.array_equal(got_best, phi.max(axis=0))
-    assert np.array_equal(got_win, win)
-    t = _EDGE_CURVE.table
-    got = _win_region_edge(t, got_strict, got_weak)
-    assert got.tobytes() == _win_region_edge(t, strict, weak).tobytes()
-    assert np.array_equal(phi, before)
+# The examples rank no bidder (every virtual value is < 0) and one that
+# drops its equal-revenue bidders before ranking the rest.
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(range(len(_REPEATS))), min_size=1, max_size=6),
+       st.sampled_from(["myerson", "lookahead", "spald"]), st.integers(0, 3))
+@example([4, 4], "myerson", 0)
+@example([4, 1, 4, 1, 5], "myerson", 1)
+def test_kernels_match_scalar_on_repeated_curves(picks, mechanism, seed):
+    # repeated curves tie values and virtual values across bidders, so the
+    # winner, its runner-up and the duplicate a kernel reads by index must
+    # follow the scalar's tie rule
+    prof = cv.make_profile([_REPEATS[j] for j in picks])
+    fast = sample_revenues(prof, NO_CONSTRAINT, mechanism, 300, seed)
+    slow = _scalar_revenues(prof, NO_CONSTRAINT, mechanism, 300, seed)
+    assert fast.tobytes() == slow.tobytes()
 
 
 def _vcg_constrained_by_argsort(v, constraint, k):
@@ -502,6 +513,66 @@ def test_paired_compare_mismatch():
     b = cv.make_profile([cv.make_triangle(0.4, 0.5)])
     with pytest.raises(ProfileMismatch):
         paired_compare(a, b, NO_CONSTRAINT, NO_CONSTRAINT, "spa", 100, 0)
+
+
+# Two runs that share rows: bidders 0-2 and spald's duplicates of them,
+# and, in "clone", bidder 3 too, whose curve is bidder 0's, so its row is
+# also spald's duplicate of bidder 0 in the three-bidder run.
+_PAIRED_CURVES = [cv.make_triangle(0.4, 0.6), cv.make_equal_revenue(0.5),
+                  cv.make_piecewise([(0.0, 0.0), (0.2, 0.3), (0.6, 0.5), (1.0, 0.2)])]
+_PAIRED_RUNS = {
+    "same-size": (cv.make_profile([*_PAIRED_CURVES, _PAIRED_CURVES[0]]),
+                  cv.make_profile([*_PAIRED_CURVES, cv.make_point_mass(0.4)])),
+    "clone": (cv.make_profile([*_PAIRED_CURVES, _PAIRED_CURVES[0]]),
+              cv.make_profile(_PAIRED_CURVES)),
+}
+
+
+# 40,000 draws fit the row store's budget, and 200,000 do not
+@pytest.mark.parametrize("n_samples", [40_000, 200_000])
+@pytest.mark.parametrize("workers", [0, 3])
+@pytest.mark.parametrize("mechanism, params, runs", [
+    *((m, p, runs) for m, p in [("spa", {}), ("vcg", {"k": 2}), ("spald", {})]
+      for runs in sorted(_PAIRED_RUNS)),
+    # posted reads one price per bidder, so its runs have one size
+    ("posted", {"prices": [0.3, 0.5, 0.2, 0.4]}, "same-size"),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_paired_compare_is_the_difference_of_two_calls(monkeypatch, mechanism, params, runs,
+                                                       workers, n_samples):
+    a, b = _PAIRED_RUNS[runs]
+    seed = 9
+    monkeypatch.setattr(simulate._SCRATCH, "rows", _RowStore(_ROW_BUDGET), raising=False)
+    want = np.subtract(sample_revenues(a, NO_CONSTRAINT, mechanism, n_samples, seed, **params),
+                       sample_revenues(b, NO_CONSTRAINT, mechanism, n_samples, seed, **params))
+    # the second paired call repeats the seed, so one inside the budget
+    # and not pooled is served by the row store
+    for _ in range(2):
+        got = simulate._revenues([(a, NO_CONSTRAINT), (b, NO_CONSTRAINT)], mechanism, n_samples,
+                                 seed, workers, params)
+        assert got.tobytes() == want.tobytes()
+        est = paired_compare(a, b, NO_CONSTRAINT, NO_CONSTRAINT, mechanism, n_samples, seed,
+                             workers=workers, **params)
+        assert est == simulate._summarize(want, seed, simulate._estimator("", a, b))
+
+
+@pytest.mark.parametrize("mechanism, params", [("spa", {}), ("vcg", {"k": 2})])
+def test_paired_compare_draws_each_shared_row_once_per_chunk(monkeypatch, mechanism, params):
+    calls = []
+    draw = simulate.uniforms
+    monkeypatch.setattr(simulate, "uniforms",
+                        lambda *a, **kw: calls.append(a[1:4]) or draw(*a, **kw))
+    monkeypatch.setattr(simulate._SCRATCH, "rows", _RowStore(_ROW_BUDGET), raising=False)
+    a, b = _PAIRED_RUNS["clone"]
+    paired_compare(a, b, NO_CONSTRAINT, NO_CONSTRAINT, mechanism, 40_000, 5, **params)
+    # bidders 0-2 are shared and bidder 3 is a's alone: one draw per row
+    # and chunk, where two calls drew rows 0-2 twice
+    assert sorted(calls) == sorted((i, lo, hi) for i in range(4)
+                                   for lo, hi in [(0, 16_384), (16_384, 40_000)])
+    calls.clear()
+    both = cv.make_profile([*_PAIRED_CURVES[:2], cv.make_triangle(0.3, 0.5)])
+    paired_compare(a, both, NO_CONSTRAINT, NO_CONSTRAINT, mechanism, 20_000, 6, **params)
+    # bidder 2 has a curve of its own in each run: two rows of one substream
+    assert sorted(calls) == sorted([(i, 0, 20_000) for i in range(4)] + [(2, 0, 20_000)])
 
 
 def test_order_stat_two_triangles():
