@@ -40,7 +40,8 @@ it draws:
   used row; stored arrays are read-only.
 
 Any other call makes no lookups and computes its rows into one scratch
-block per thread, which is reused across calls (_scratch).
+block per thread, which is reused across calls (_scratch), as are the
+work rows of _top and vcg_constrained.
 
 The store is exact: a key covers every input of its row, so a stored row
 holds the bits the same request would compute, and since every kernel
@@ -99,7 +100,7 @@ _MASK = (1 << 64) - 1
 _CHUNK = 1 << 14
 # Bytes each thread's row store may hold.
 _ROW_BUDGET = 6 << 20
-# Largest per-thread scratch block kept between sampling calls, in bytes.
+# Largest per-thread scratch buffer (_scratch) kept between chunks, in bytes.
 _SCRATCH_KEEP = 4 << 20
 # The 7-15 point Gauss-Kronrod rule on [-1, 1] (Kronrod 1965; the qk15
 # table of QUADPACK, Piessens et al. 1983), for the nodes x >= 0 from the
@@ -320,19 +321,27 @@ def _row_store() -> _RowStore:
     return rows
 
 
-def _scratch(rows: int, width: int) -> np.ndarray:
-    """A (rows, width) float64 block of this thread's scratch memory.
+def _scratch(name: str, shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised array of this thread's scratch memory kept under name.
 
-    A block of up to _SCRATCH_KEEP bytes is kept and reused across calls,
-    since a fresh buffer pays page faults on its first writes.
+    Each name keeps a buffer of up to _SCRATCH_KEEP bytes, reused across
+    chunks and calls: a fresh buffer pays page faults on its first writes,
+    and freeing one each chunk let the allocator hand pages back to the
+    system only to fault them in again on the next.  An array is valid
+    until the next request under its name, so a name belongs to one
+    function, which neither returns the array nor calls itself.
     """
-    size = rows * width
-    block = getattr(_SCRATCH, "block", None)
-    if block is None or block.size < size:
-        block = np.empty(size)
-        if block.nbytes <= _SCRATCH_KEEP:
-            _SCRATCH.block = block
-    return block[:size].reshape(rows, width)
+    kept = _SCRATCH.__dict__.setdefault("buffers", {})
+    buf, arr = kept.get(name, (None, None))
+    if arr is not None and arr.shape == shape and arr.dtype == dtype:
+        return arr
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if buf is None or buf.nbytes < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+    arr = buf[:nbytes].view(dtype).reshape(shape)
+    if nbytes <= _SCRATCH_KEEP:
+        kept[name] = buf, arr
+    return arr
 
 
 def _value_row(rows, seed: int, i: int, curve: cv.RevenueCurve, lo: int, hi: int,
@@ -405,10 +414,9 @@ def _top(rows, r: int, carry: int = 0):
     n, width = len(rows), rows[0].shape[0]
     top = np.empty((r, width))
     who = np.empty((carry, width), dtype=np.min_scalar_type(n))
-    bufs = (np.empty(width), np.empty(width))  # the moving value and scratch, by turns
-    held = np.empty(width, dtype=who.dtype)  # the index moving with it
-    diff = np.empty_like(held)
-    passes = np.empty(width, dtype=bool)
+    bufs = _scratch("top_bufs", (2, width), np.float64)  # the moving value and scratch, by turns
+    held, diff = _scratch("top_held", (2, width), who.dtype)  # the index moving with it; scratch
+    passes = _scratch("top_passes", (width,), bool)
     for e, row in enumerate(rows):
         held.fill(e)
         x = row  # the value moving down: the row's, then each one it displaces
@@ -484,13 +492,16 @@ def _rev_vcg_constrained(curves, constraint, ch, params):
     # and one per unpaired bidder (rival 0).  Top-k pool entries win and
     # each pays the larger of the (k+1)-st pool value and its rival.
     entries = [(i, j) for i, j in enumerate(partner) if j < 0 or i < j]
-    rival = np.zeros((len(entries), width))
+    rival, maxima = _scratch("vcg_constrained", (2, len(entries), width), np.float64)
     for row, (i, j) in zip(rival, entries):
-        if j >= 0:
+        if j < 0:
+            row.fill(0.0)
+        else:
             np.minimum(v[i], v[j], out=row)
     if len(entries) <= k:  # every entry wins and pays its rival
         return rival.sum(axis=0)
-    pool = [v[i] if j < 0 else np.maximum(v[i], v[j]) for i, j in entries]
+    pool = [v[i] if j < 0 else np.maximum(v[i], v[j], out=row)
+            for row, (i, j) in zip(maxima, entries)]
     # The top k pool entries win, in the stable argsort's order; summing
     # their payments in that order keeps the bits of a sorted pool's sum.
     top, who = _top(pool, k + 1, carry=k)
@@ -669,7 +680,7 @@ def _revenues(runs, mechanism: str, n_samples: int, seed: int, workers, params) 
         # one scratch block and one block of value rows per caller,
         # rewritten chunk by chunk where the row store does not serve a row
         width = max(hi - lo for lo, hi in spans)
-        block = _scratch(3 + len(drawn), width)
+        block = _scratch("fill", (3 + len(drawn), width), np.float64)
         scratch, v = block[:3], block[3:]
         for lo, hi in spans:
             vals, seg = zip(*(_value_row(rows, seed, i, c, lo, hi, scratch, v[r])
