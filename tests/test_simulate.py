@@ -348,9 +348,10 @@ def test_top_indices_take_the_narrowest_unsigned_type():
 # Slopes 2, 1, 0.5 and -0.5: a virtual value equal to one of them is where
 # a strict and a weak runner-up bar give different prices.  _BUMP_CURVE's
 # slopes are 1, 0.5 and 0.5 + 1e-12, which concavity's tolerance admits:
-# its winners' price breakpoint is the first segment that fails the bar, and
-# a count of every passing segment paid a breakpoint too far on 619 of 2,000
-# three-bidder draws.
+# its winners' price breakpoint is the first segment that fails the bar.  An
+# edge found by searchsorted on the slopes, which assumes them sorted, paid
+# another breakpoint than the scalar on 619 of 2,000 three-bidder draws, and
+# so does a count of every passing segment.
 _EDGE_CURVE = cv.make_piecewise([(0.0, 0.0), (0.2, 0.4), (0.4, 0.6), (0.6, 0.7), (1.0, 0.5)])
 _BUMP_CURVE = cv.make_piecewise([(0, 0), (0.2, 0.2), (0.4, 0.3), (0.6, 0.4 + 0.2e-12), (1.0, 0.3)])
 _REPEATS = [_EDGE_CURVE, _BUMP_CURVE, cv.make_triangle(0.5, 0.5), cv.make_point_mass(0.5),
