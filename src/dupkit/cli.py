@@ -107,13 +107,6 @@ def _grid_steps_flag(args) -> int:
     return args.grid_steps
 
 
-def _workers_flag(args) -> int:
-    """--workers, refused below 0 before anything is drawn."""
-    if args.workers is not None and args.workers < 0:
-        raise ParseError(f"--workers must be at least 0, got {args.workers}")
-    return args.workers or 0
-
-
 def _need(constants: dict, key: str) -> float:
     if key not in constants:
         raise ParseError(f"config field 'constants.{key}': this rule needs it")
@@ -145,7 +138,7 @@ def _cmd_simulate(args) -> int:
     if _samples_flag(args) is not None:
         config = dataclasses.replace(config, n_samples=args.samples)
     out = _report_path(args, config)
-    report, code = cfg.run_experiment(config, workers=_workers_flag(args))
+    report, code = cfg.run_experiment(config)
     _emit(report, out, args.format or config.output_format)
     return code
 
@@ -289,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         """Add --out, --format and each named flag; a named --config is required."""
         if "config" in flags:
             p.add_argument("--config", required=True, help="path to a JSON experiment config")
-        for flag in ("seed", "samples", "workers"):
+        for flag in ("seed", "samples"):
             if flag in flags:
                 p.add_argument(f"--{flag}", type=int, default=None)
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -297,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("exante", help="solve the ex ante relaxation"), "config")
     common(sub.add_parser("simulate", help="run the configured experiment"),
-           "config", "seed", "samples", "workers")
+           "config", "seed", "samples")
 
     p = sub.add_parser("select", help="pick whom to duplicate")
     p.add_argument("--rule", required=True, choices=("beta", "noisy", "sample", "kset"))
@@ -349,7 +342,7 @@ def _report_error(exc: Exception) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # A non-finite result exits 2 by value, so numpy's float warnings would only
-    # print ahead of the JSON error; a process-wide filter reaches worker threads.
+    # print ahead of the JSON error.
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r".* encountered in ", RuntimeWarning)
         try:

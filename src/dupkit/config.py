@@ -278,14 +278,14 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(emit_config(config).encode()).hexdigest()[:16]
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 0):
+def run_experiment(config: ExperimentConfig):
     """Estimate revenue, evaluate configured bound checks, build the report.
 
     Returns (report dict, exit_code): 0 when every check passes, 1 otherwise.
     A check passes when estimate >= ratio * exante_opt - 4 * stderr.  The
     report's "timings" (seconds per stage), "samples_per_s" and "env" (the
-    numpy and Python versions, the worker count and os.cpu_count()) are the
-    only fields that are not reproducible from the config and seed.
+    numpy and Python versions and os.cpu_count()) are the only fields that
+    are not reproducible from the config and seed.
     """
     t0 = perf_counter()
     exante = solve_exante(config.profile, k=config.constants["k"])
@@ -294,7 +294,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 0):
     # estimate_revenue's two stages, run here so each can be timed
     t2 = perf_counter()
     rev = sample_revenues(profile, constraint, config.mechanism, config.n_samples, config.seed,
-                          workers, **config.mechanism_params)
+                          **config.mechanism_params)
     t3 = perf_counter()
     est = _summarize(rev, config.seed, config.estimator)
     t4 = perf_counter()
@@ -327,7 +327,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 0):
         "env": {
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "workers": workers,
             "cpu_count": os.cpu_count(),
         },
     }

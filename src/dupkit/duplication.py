@@ -128,7 +128,7 @@ def best_single_duplicate(profile: cv.BidderProfile, evaluator, workers: int = 0
 
     evaluator(extended_profile, constraint) -> expected revenue; it must be
     deterministic so the argmax is reproducible.  Candidates run serially;
-    ``workers`` is ignored, kept for callers of the former thread pool.
+    ``workers`` is ignored; only the benchmark's stage table passes it.
     """
     revs = []
     for i in range(profile.n):

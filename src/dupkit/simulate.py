@@ -1,8 +1,8 @@
 """Seeded Monte Carlo and exact quadrature for expected auction revenue.
 
 Randomness is counter-based: the uniform for (seed, sample, bidder) is a
-hash of those three numbers, so any slice of samples can be generated on any
-worker and estimates are bit-identical for every worker count.  It also
+hash of those three numbers, so any slice of samples can be generated on
+its own and chunks of any width give bit-identical estimates.  It also
 couples comparisons pathwise: the same bidder index sees the same values in
 two environments run with the same seed.
 
@@ -26,11 +26,11 @@ the row store.
 A row is a pure function of (seed, bidder index, curve, chunk), so callers
 that score many environments at one seed would redraw identical rows.
 Each thread keeps a store of its own (_row_store), which needs no lock.
-A call that is not pooled uses its thread's store only when it repeats
-that thread's previous seed (a new seed meets no stored row) and every
-value row it draws fits in _ROW_BUDGET bytes (larger rows would evict
-one another before any reuse); such a call looks up and stores every row
-it draws:
+A call runs every chunk in its caller's thread, and uses that thread's
+store only when it repeats the thread's previous seed (a new seed meets
+no stored row) and every value row it draws fits in _ROW_BUDGET bytes
+(larger rows would evict one another before any reuse); such a call
+looks up and stores every row it draws:
 
 * value rows with their segment indices are keyed by (seed, index, curve
   bits, chunk start), and uniform rows by (seed, index, chunk start), so a
@@ -66,7 +66,6 @@ import functools
 import math
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -644,7 +643,7 @@ def _mechanism_fault(mechanism: str, n: int, params: dict):
             return "prices", f"posted needs a list of {n} prices >= 0, got {prices!r}"
 
 
-def _revenues(runs, mechanism: str, n_samples: int, seed: int, workers, params) -> np.ndarray:
+def _revenues(runs, mechanism: str, n_samples: int, seed: int, params) -> np.ndarray:
     """Per-draw revenue of the run runs[0], less that of runs[1] when given.
 
     A run is a (profile, constraint).  Its row i draws substream i under
@@ -670,35 +669,25 @@ def _revenues(runs, mechanism: str, n_samples: int, seed: int, workers, params) 
     # a chunk joins the chunk before it, so no call ends on a sliver.
     starts = list(range(0, n_samples - _CHUNK // 2, _CHUNK)) or [0]
     spans = list(zip(starts, [*starts[1:], n_samples]))
-    # a pooled call's chunks run in worker threads, so it uses no store
-    pooled = workers and workers > 1 and len(spans) > 1
-    rows = None if pooled else _row_store()
-    if rows and not rows.admit(seed, len(drawn) * n_samples * 8):
+    rows = _row_store()
+    if not rows.admit(seed, len(drawn) * n_samples * 8):
         rows = None
-
-    def fill(spans) -> None:
-        # one scratch block and one block of value rows per caller,
-        # rewritten chunk by chunk where the row store does not serve a row
-        width = max(hi - lo for lo, hi in spans)
-        block = _scratch("fill", (3 + len(drawn), width), np.float64)
-        scratch, v = block[:3], block[3:]
-        for lo, hi in spans:
-            vals, seg = zip(*(_value_row(rows, seed, i, c, lo, hi, scratch, v[r])
-                              for r, i, c in drawn.values()))
-            revs = [kernel(profile.curves, con, _Chunk(tuple(vals[r] for r in pick),
-                                                       tuple(seg[r] for r in pick), lo, hi),
-                           params)
-                    for (profile, con), pick in zip(runs, picks)]
-            if len(revs) == 1:
-                out[lo:hi] = revs[0]
-            else:
-                np.subtract(*revs, out=out[lo:hi])
-
-    if pooled:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, [spans[w::workers] for w in range(min(workers, len(spans)))]))
-    else:
-        fill(spans)
+    # one scratch block and one block of value rows per thread, rewritten
+    # chunk by chunk where the row store does not serve a row
+    width = max(hi - lo for lo, hi in spans)
+    block = _scratch("revenues", (3 + len(drawn), width), np.float64)
+    scratch, v = block[:3], block[3:]
+    for lo, hi in spans:
+        vals, seg = zip(*(_value_row(rows, seed, i, c, lo, hi, scratch, v[r])
+                          for r, i, c in drawn.values()))
+        revs = [kernel(profile.curves, con, _Chunk(tuple(vals[r] for r in pick),
+                                                   tuple(seg[r] for r in pick), lo, hi),
+                       params)
+                for (profile, con), pick in zip(runs, picks)]
+        if len(revs) == 1:
+            out[lo:hi] = revs[0]
+        else:
+            np.subtract(*revs, out=out[lo:hi])
     return out
 
 
@@ -711,8 +700,12 @@ def sample_revenues(
     workers: int = 0,
     **params,
 ) -> np.ndarray:
-    """Per-sample revenue array; the estimators above are views over this."""
-    return _revenues([(profile, constraint)], mechanism, n_samples, seed, workers, params)
+    """Per-sample revenue array; the estimators above are views over this.
+
+    Every chunk runs in the caller's thread.  ``workers`` is ignored; only
+    the benchmark's stage table passes it.
+    """
+    return _revenues([(profile, constraint)], mechanism, n_samples, seed, params)
 
 
 def _estimator(estimator: str, *profiles: cv.BidderProfile) -> str:
@@ -769,7 +762,6 @@ def estimate_revenue(
     n_samples: int,
     seed: int,
     estimator: str = "",
-    workers: int = 0,
     **params,
 ) -> Estimate:
     """Monte Carlo expected revenue, reproducible from (inputs, seed) alone.
@@ -779,7 +771,7 @@ def estimate_revenue(
     tails and plain CLT error bars are untrustworthy), else plain mean.
     """
     estimator = _estimator(estimator, profile)
-    rev = sample_revenues(profile, constraint, mechanism, n_samples, seed, workers, **params)
+    rev = sample_revenues(profile, constraint, mechanism, n_samples, seed, **params)
     return _summarize(rev, seed, estimator)
 
 
@@ -792,7 +784,6 @@ def paired_compare(
     n_samples: int,
     seed: int,
     estimator: str = "",
-    workers: int = 0,
     **params,
 ) -> Estimate:
     """Estimate of E[rev_a - rev_b] under common random numbers.
@@ -808,7 +799,7 @@ def paired_compare(
         raise ProfileMismatch("profiles must share a common original prefix")
     estimator = _estimator(estimator, profile_a, profile_b)
     runs = [(profile_a, constraint_a), (profile_b, constraint_b)]
-    diff = _revenues(runs, mechanism, n_samples, seed, workers, params)
+    diff = _revenues(runs, mechanism, n_samples, seed, params)
     return _summarize(diff, seed, estimator)
 
 

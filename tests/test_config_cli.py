@@ -448,6 +448,7 @@ _ARGV = {
     "select": ["select", "--config", "c.json", "--rule", "beta"],
     "examples": ["examples", "two-triangles"],
     "examples-lbhr": ["examples", "lbhr"],
+    "simulate": ["simulate", "--config", "c.json"],
 }
 
 
@@ -455,7 +456,8 @@ _ARGV = {
     "command, flag",
     [(cmd, flag) for cmd in ("exante", "classify") for flag in ("--seed", "--samples", "--workers")]
     + [("select", "--samples"), ("select", "--workers"), ("examples", "--workers"),
-       ("examples", "--seed"), ("examples", "--samples"), ("examples-lbhr", "--grid-steps")],
+       ("examples", "--seed"), ("examples", "--samples"), ("examples-lbhr", "--grid-steps"),
+       ("simulate", "--workers")],
 )
 def test_cli_rejects_flags_nothing_reads(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
@@ -481,15 +483,6 @@ def test_cli_grid_steps_above_maximum_is_parse_error(capsys, monkeypatch):
     assert err["error"] == "ParseError" and "--grid-steps" in err["detail"]
 
 
-def test_cli_negative_workers_is_parse_error(tmp_path, capsys):
-    path = write_config(tmp_path, BASE)
-    assert main(["simulate", "--config", path, "--workers", "-3"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    err = json.loads(err)  # the whole of stderr is one JSON object
-    assert err["error"] == "ParseError" and "--workers" in err["detail"]
-
-
 def test_cli_never_writes_nonfinite_json(tmp_path):
     # a constant nothing gates, and curves whose values overflow to inf
     def huge(name, *curves):
@@ -502,8 +495,6 @@ def test_cli_never_writes_nonfinite_json(tmp_path):
         (huge("tri.json", {"equal_revenue": 1e300}, {"triangle": {"q": 0.5, "r": 1e300}}),
          "'estimate.stderr'"),
     ]
-    # sampling worker threads must not print float warnings either
-    cases += [([*argv, "--workers", "2"], field) for argv, field in cases[1:]]
     for argv, field in cases:
         proc = subprocess.run([sys.executable, "-m", "dupkit.cli", *argv],
                               capture_output=True, text=True)
@@ -514,15 +505,14 @@ def test_cli_never_writes_nonfinite_json(tmp_path):
 
 def test_report_env_block(tmp_path, capsys):
     path = write_config(tmp_path, BASE)
-    assert main(["simulate", "--config", path, "--workers", "2"]) == 0
-    env = json.loads(capsys.readouterr().out)["env"]
-    assert env["numpy"] == np.__version__
-    assert env["python"] == platform.python_version()
-    assert (env["workers"], env["cpu_count"]) == (2, os.cpu_count())
+    want = {"numpy": np.__version__, "python": platform.python_version(),
+            "cpu_count": os.cpu_count()}
+    assert main(["simulate", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["env"] == want
     assert main(["simulate", "--config", path, "--format", "csv"]) == 0
     rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
-    assert rows["env.numpy"] == np.__version__ and rows["env.workers"] == "0"
-    assert rows["env.cpu_count"] == str(os.cpu_count())
+    env = {key[len("env."):]: val for key, val in rows.items() if key.startswith("env.")}
+    assert env == {key: str(val) for key, val in want.items()}
 
 
 def test_cli_examples_n3_reads_seed_zero_and_samples_zero(capsys):

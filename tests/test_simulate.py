@@ -10,7 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dupkit import curves as cv, simulate
-from dupkit.duplication import all_once, extend_profile, k_copies_of, set_once
+from dupkit.duplication import (
+    all_once,
+    best_single_duplicate,
+    extend_profile,
+    k_copies_of,
+    set_once,
+)
 from dupkit.errors import DomainError, NonConvergence, ProfileMismatch, UnboundedExpectation
 from dupkit.examples import lbhr_profile, n3_profile
 from dupkit.instances import random_concave_curve, random_profile, random_triangle
@@ -58,14 +64,30 @@ def test_uniforms_contract():
     assert not np.array_equal(a, uniforms(8, 0, 0, 64))
 
 
-def test_sample_revenues_deterministic_and_worker_independent():
+def test_sample_revenues_deterministic_and_worker_independent(monkeypatch):
+    # workers is accepted and ignored: a call of more than one chunk runs
+    # every chunk in the caller's thread, bit for bit as without it
     prof = cv.make_profile(
         [cv.make_triangle(0.5, 0.5), cv.make_equal_revenue(1.0), cv.make_point_mass(0.3)]
     )
-    a = sample_revenues(prof, NO_CONSTRAINT, "spa", 70_001, 13)
-    b = sample_revenues(prof, NO_CONSTRAINT, "spa", 70_001, 13, workers=4)
-    assert np.array_equal(a, b)
-    c = sample_revenues(prof, NO_CONSTRAINT, "spa", 70_001, 14)
+    n = 70_001
+    assert n > simulate._CHUNK
+    a = sample_revenues(prof, NO_CONSTRAINT, "spa", n, 13)
+
+    def no_thread(self):
+        raise AssertionError("sampling started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for b in (sample_revenues(prof, NO_CONSTRAINT, "spa", n, 13, 4),
+              sample_revenues(prof, NO_CONSTRAINT, "spa", n, 13, workers=4)):
+        assert b.tobytes() == a.tobytes()
+
+    def evaluator(extended, constraint):
+        return estimate_revenue(extended, constraint, "spa", n, 13).mean
+
+    best = [best_single_duplicate(prof, evaluator, **kw) for kw in ({}, {"workers": 4})]
+    assert best[0] == best[1]
+    c = sample_revenues(prof, NO_CONSTRAINT, "spa", n, 14)
     assert not np.array_equal(a, c)
 
 
@@ -473,7 +495,7 @@ def test_estimator_defaults():
 def test_estimate_reproducible():
     prof = cv.make_profile([cv.make_triangle(0.7, 0.9)] * 3)
     a = estimate_revenue(prof, NO_CONSTRAINT, "spa", 50_000, 21)
-    b = estimate_revenue(prof, NO_CONSTRAINT, "spa", 50_000, 21, workers=3)
+    b = estimate_revenue(prof, NO_CONSTRAINT, "spa", 50_000, 21)
     assert a == b
 
 
@@ -531,7 +553,6 @@ _PAIRED_RUNS = {
 
 # 40,000 draws fit the row store's budget, and 200,000 do not
 @pytest.mark.parametrize("n_samples", [40_000, 200_000])
-@pytest.mark.parametrize("workers", [0, 3])
 @pytest.mark.parametrize("mechanism, params, runs", [
     *((m, p, runs) for m, p in [("spa", {}), ("vcg", {"k": 2}), ("spald", {})]
       for runs in sorted(_PAIRED_RUNS)),
@@ -539,20 +560,20 @@ _PAIRED_RUNS = {
     ("posted", {"prices": [0.3, 0.5, 0.2, 0.4]}, "same-size"),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_paired_compare_is_the_difference_of_two_calls(monkeypatch, mechanism, params, runs,
-                                                       workers, n_samples):
+                                                       n_samples):
     a, b = _PAIRED_RUNS[runs]
     seed = 9
     monkeypatch.setattr(simulate._SCRATCH, "rows", _RowStore(_ROW_BUDGET), raising=False)
     want = np.subtract(sample_revenues(a, NO_CONSTRAINT, mechanism, n_samples, seed, **params),
                        sample_revenues(b, NO_CONSTRAINT, mechanism, n_samples, seed, **params))
     # the second paired call repeats the seed, so one inside the budget
-    # and not pooled is served by the row store
+    # is served by the row store
     for _ in range(2):
         got = simulate._revenues([(a, NO_CONSTRAINT), (b, NO_CONSTRAINT)], mechanism, n_samples,
-                                 seed, workers, params)
+                                 seed, params)
         assert got.tobytes() == want.tobytes()
         est = paired_compare(a, b, NO_CONSTRAINT, NO_CONSTRAINT, mechanism, n_samples, seed,
-                             workers=workers, **params)
+                             **params)
         assert est == simulate._summarize(want, seed, simulate._estimator("", a, b))
 
 
@@ -791,7 +812,7 @@ store_calls = st.lists(
         st.sampled_from(["none", "single", "copies", "set", "all"]),  # duplicate plan
         st.sampled_from(_STORE_DRAWS),
         st.integers(0, 1),  # seed
-        st.sampled_from([0, 3]),  # workers
+        st.sampled_from([0, 3]),  # workers, which sample_revenues ignores
     ),
     min_size=1,
     max_size=6,
@@ -911,14 +932,14 @@ def test_row_store_admits_only_repeat_seed_calls_that_fit(monkeypatch):
 
 
 # One fixed sequence of calls on a fresh store, as (mechanism, profile
-# prefix, plan, draws, seed, workers).  Seeds repeat in runs of 3 to 5, so
-# each run's first call draws afresh and the rest are admitted unless
-# pooled (3 workers over two chunks): they store rows, serve prefixes of
-# stored rows (700 and 16,384 draws after 16,684 and 40,000) and reuse the
-# uniforms of a clone slot under a new curve.  The
-# sha256 over every result's bytes was recorded before the store moved any
-# sampling into fill; any rewrite must keep every bit.  It was re-recorded
-# once, when first-segment draws took their slope exactly (each moved value
+# prefix, plan, draws, seed, workers); sample_revenues ignores workers.
+# Seeds repeat in runs of 3 to 5, so each run's first call draws afresh
+# and the rest are admitted where their rows fit: they store rows, serve
+# prefixes of stored rows (700 and 16,384 draws after 16,684 and 40,000)
+# and reuse the uniforms of a clone slot under a new curve.  The sha256
+# over every result's bytes was recorded before the chunk loop took its
+# present form; any rewrite must keep every bit.  It was re-recorded once,
+# when first-segment draws took their slope exactly (each moved value
 # moved by at most one ulp, to the slope).
 _STORE_SEQUENCE = [
     ("spa", 3, "none", 40_000, 0, 0),
@@ -988,19 +1009,3 @@ def test_row_store_is_confined_to_its_thread(monkeypatch):
         assert store.nbytes == sum(a.nbytes for e in kept for a in e if a is not None)
         assert 0 < store.nbytes <= store.budget
 
-
-def test_pooled_calls_use_no_store(monkeypatch):
-    # a pooled call's chunks run in worker threads, so it reads and writes
-    # no store, neither its caller's nor a worker's, even at a repeat seed
-    used = []
-    lookup, put = _RowStore.lookup, _RowStore.put
-    monkeypatch.setattr(_RowStore, "lookup", lambda self, *a: used.append(a) or lookup(self, *a))
-    monkeypatch.setattr(_RowStore, "put", lambda self, *a: used.append(a) or put(self, *a))
-    store = _RowStore(_ROW_BUDGET)
-    monkeypatch.setattr(simulate._SCRATCH, "rows", store, raising=False)
-    pooled = [_store_call("spa", 3, "all", 40_000, 2, 3).tobytes() for _ in range(2)]
-    assert used == [] and store.nbytes == 0
-    # the same calls in the caller's thread reach the store from the repeat on
-    alone = [_store_call("spa", 3, "all", 40_000, 2, 0).tobytes() for _ in range(2)]
-    assert used and store.nbytes > 0
-    assert pooled == alone
