@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -513,6 +514,22 @@ def test_report_env_block(tmp_path, capsys):
     rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
     env = {key[len("env."):]: val for key, val in rows.items() if key.startswith("env.")}
     assert env == {key: str(val) for key, val in want.items()}
+
+
+def test_cli_simulate_starts_no_thread(tmp_path, capsys, monkeypatch):
+    # a run of more than one sampling chunk draws every chunk in the
+    # caller's thread, to the same estimate
+    raw = {**BASE, "sampling": {**BASE["sampling"], "n_samples": 70_001}}
+    path = write_config(tmp_path, raw)
+    assert main(["simulate", "--config", path]) == 0
+    want = json.loads(capsys.readouterr().out)["estimate"]
+
+    def no_thread(self):
+        raise AssertionError("simulate started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert main(["simulate", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["estimate"] == want
 
 
 def test_cli_examples_n3_reads_seed_zero_and_samples_zero(capsys):

@@ -551,8 +551,10 @@ _PAIRED_RUNS = {
 }
 
 
-# 40,000 draws fit the row store's budget, and 200,000 do not
+# 40,000 draws fit the row store's budget, and 200,000 do not; a store of
+# budget 0 admits no call, so every call draws afresh
 @pytest.mark.parametrize("n_samples", [40_000, 200_000])
+@pytest.mark.parametrize("budget", [_ROW_BUDGET, 0], ids=["store", "no-store"])
 @pytest.mark.parametrize("mechanism, params, runs", [
     *((m, p, runs) for m, p in [("spa", {}), ("vcg", {"k": 2}), ("spald", {})]
       for runs in sorted(_PAIRED_RUNS)),
@@ -560,10 +562,11 @@ _PAIRED_RUNS = {
     ("posted", {"prices": [0.3, 0.5, 0.2, 0.4]}, "same-size"),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_paired_compare_is_the_difference_of_two_calls(monkeypatch, mechanism, params, runs,
-                                                       n_samples):
+                                                       budget, n_samples):
     a, b = _PAIRED_RUNS[runs]
     seed = 9
-    monkeypatch.setattr(simulate._SCRATCH, "rows", _RowStore(_ROW_BUDGET), raising=False)
+    store = _RowStore(budget)
+    monkeypatch.setattr(simulate._SCRATCH, "rows", store, raising=False)
     want = np.subtract(sample_revenues(a, NO_CONSTRAINT, mechanism, n_samples, seed, **params),
                        sample_revenues(b, NO_CONSTRAINT, mechanism, n_samples, seed, **params))
     # the second paired call repeats the seed, so one inside the budget
@@ -575,6 +578,10 @@ def test_paired_compare_is_the_difference_of_two_calls(monkeypatch, mechanism, p
         est = paired_compare(a, b, NO_CONSTRAINT, NO_CONSTRAINT, mechanism, n_samples, seed,
                              **params)
         assert est == simulate._summarize(want, seed, simulate._estimator("", a, b))
+    if budget == 0:
+        assert store.nbytes == 0
+    elif n_samples == 40_000:
+        assert store.nbytes > 0
 
 
 @pytest.mark.parametrize("mechanism, params", [("spa", {}), ("vcg", {"k": 2})])
