@@ -26,11 +26,11 @@ the row store.
 A row is a pure function of (seed, bidder index, curve, chunk), so callers
 that score many environments at one seed would redraw identical rows.
 Each thread keeps a store of its own (_row_store), which needs no lock.
-A call runs every chunk in its caller's thread, and uses that thread's
-store only when it repeats the thread's previous seed (a new seed meets
-no stored row) and every value row it draws fits in _ROW_BUDGET bytes
-(larger rows would evict one another before any reuse); such a call
-looks up and stores every row it draws:
+A call uses its thread's store only when it repeats the thread's
+previous seed (a new seed meets no stored row) and every value row it
+draws fits in _ROW_BUDGET bytes (larger rows would evict one another
+before any reuse); such a call runs every chunk in its caller's thread
+and looks up and stores every row it draws:
 
 * value rows with their segment indices are keyed by (seed, index, curve
   bits, chunk start), and uniform rows by (seed, index, chunk start), so a
@@ -42,6 +42,19 @@ looks up and stores every row it draws:
 Any other call makes no lookups and computes its rows into one scratch
 block per thread, which is reused across calls (_scratch), as are the
 work rows of _top and vcg_constrained.
+
+Such a call runs in its caller's thread too, unless it is large enough
+to split across processes (_processes): on Linux, with no other Python
+thread alive (fork copies only the calling thread), it takes
+P = min(CPUs, W // _SPLIT_BYTES, chunks // 2) processes when that is at
+least 2, W being the bytes of its value rows that draw uniforms.  Its
+chunk list is cut into P contiguous ranges; the caller fills the first
+and a forked child each other one, into an anonymous shared mapping, and
+every child is reaped before the call returns (_split).  A row is a pure
+function of its counters, so a split call returns the serial bits.
+Threads cannot share this work: each numpy call on a chunk hands the
+interpreter lock over, and two threads ran at 0.53-0.82 times the speed
+of one.
 
 The store is exact: a key covers every input of its row, so a stored row
 holds the bits the same request would compute, and since every kernel
@@ -64,6 +77,10 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
+import os
+import signal
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -101,6 +118,11 @@ _CHUNK = 1 << 14
 _ROW_BUDGET = 6 << 20
 # Largest per-thread scratch buffer (_scratch) kept between chunks, in bytes.
 _SCRATCH_KEEP = 4 << 20
+# Bytes of uniform-drawing value rows each process of a split call needs
+# (_processes): with less, a fork, exit and reap (3.4 ms on a 2-core host)
+# and the child's page faults cost more than the second CPU saves (README,
+# "Splitting large calls across CPUs").
+_SPLIT_BYTES = 8 << 20
 # The 7-15 point Gauss-Kronrod rule on [-1, 1] (Kronrod 1965; the qk15
 # table of QUADPACK, Piessens et al. 1983), for the nodes x >= 0 from the
 # outside in.  Rows: the nodes, their Kronrod weights and their Gauss
@@ -343,6 +365,11 @@ def _scratch(name: str, shape: tuple, dtype) -> np.ndarray:
     return arr
 
 
+def _draws(curve: cv.RevenueCurve) -> bool:
+    """Whether a row under curve draws uniforms: all but a point mass's."""
+    return bool(curve.scale or curve.table.cuts)
+
+
 def _value_row(rows, seed: int, i: int, curve: cv.RevenueCurve, lo: int, hi: int,
                scratch, v) -> tuple:
     """(values, _segments) of substream i under curve over counters [lo, hi).
@@ -357,7 +384,7 @@ def _value_row(rows, seed: int, i: int, curve: cv.RevenueCurve, lo: int, hi: int
     into fresh memory and stored.
     """
     t, m = curve.table, hi - lo
-    if not (curve.scale or t.cuts):
+    if not _draws(curve):
         return _values(curve, None, None, v[:m]), None
     mix = scratch[1, :m].view(np.uint64)
     if rows is None:
@@ -643,6 +670,64 @@ def _mechanism_fault(mechanism: str, n: int, params: dict):
             return "prices", f"posted needs a list of {n} prices >= 0, got {prices!r}"
 
 
+def _processes(draw_bytes: int, chunks: int) -> int:
+    """How many processes share a call of `chunks` chunks whose uniform-drawing
+    value rows take draw_bytes: one per CPU this process may run on, while
+    each gets _SPLIT_BYTES of those rows and two chunks; 1 where fork is
+    unavailable or unsafe (another Python thread is alive)."""
+    if not (sys.platform.startswith("linux") and hasattr(os, "fork")):
+        return 1
+    if threading.active_count() != 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), draw_bytes // _SPLIT_BYTES, chunks // 2))
+
+
+def _split(fill, spans, processes: int, out: np.ndarray) -> None:
+    """fill(part, dest, base) over the chunks spans, cut into `processes`
+    contiguous ranges: the caller fills the first into out and forks a child
+    for each other, which fills its range into an anonymous shared mapping
+    and leaves by os._exit.  A range whose child cannot be forked or exits
+    non-zero is filled by the caller, to the same bits, and every child is
+    reaped (killed first if the caller raises) before this returns.
+    """
+    cuts = [len(spans) * p // processes for p in range(processes + 1)]
+    parts = [spans[a:b] for a, b in zip(cuts, cuts[1:])]
+    base = parts[1][0][0]
+    # the children's draws [base, n); the caller's range goes straight into
+    # out, whose heap block the allocator has usually faulted in already
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (out.shape[0] - base)))
+    children, mine = {}, [parts[0]]  # pid -> its range; ranges the caller fills
+    try:
+        for part in parts[1:]:
+            try:
+                pid = os.fork()
+            except OSError:
+                mine.append(part)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    fill(part, shared, base)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = part
+        for part in mine:
+            fill(part, out, 0)
+        for pid, part in list(children.items()):
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status:
+                fill(part, out, 0)
+            else:
+                lo, hi = part[0][0], part[-1][1]
+                out[lo:hi] = shared[lo - base : hi - base]
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _revenues(runs, mechanism: str, n_samples: int, seed: int, params) -> np.ndarray:
     """Per-draw revenue of the run runs[0], less that of runs[1] when given.
 
@@ -650,7 +735,8 @@ def _revenues(runs, mechanism: str, n_samples: int, seed: int, params) -> np.nda
     curve i, and spald's row n + j substream n + j under curve j.  Rows are
     keyed by (substream, curve bits), and each distinct one is drawn once
     per chunk, so two runs draw the rows they share once; both kernels read
-    them, and their difference goes chunk by chunk into one array.
+    them, and their difference goes chunk by chunk into one array.  A call
+    the row store does not admit may be split across processes (_split).
     """
     for profile, _ in runs:
         if fault := _mechanism_fault(mechanism, profile.n, params):
@@ -672,22 +758,31 @@ def _revenues(runs, mechanism: str, n_samples: int, seed: int, params) -> np.nda
     rows = _row_store()
     if not rows.admit(seed, len(drawn) * n_samples * 8):
         rows = None
-    # one scratch block and one block of value rows per thread, rewritten
-    # chunk by chunk where the row store does not serve a row
-    width = max(hi - lo for lo, hi in spans)
-    block = _scratch("revenues", (3 + len(drawn), width), np.float64)
-    scratch, v = block[:3], block[3:]
-    for lo, hi in spans:
-        vals, seg = zip(*(_value_row(rows, seed, i, c, lo, hi, scratch, v[r])
-                          for r, i, c in drawn.values()))
-        revs = [kernel(profile.curves, con, _Chunk(tuple(vals[r] for r in pick),
-                                                   tuple(seg[r] for r in pick), lo, hi),
-                       params)
-                for (profile, con), pick in zip(runs, picks)]
-        if len(revs) == 1:
-            out[lo:hi] = revs[0]
-        else:
-            np.subtract(*revs, out=out[lo:hi])
+
+    def fill(part, dest, base):
+        # one scratch block and one block of value rows per thread,
+        # rewritten chunk by chunk where the row store does not serve a row
+        width = max(hi - lo for lo, hi in part)
+        block = _scratch("revenues", (3 + len(drawn), width), np.float64)
+        scratch, v = block[:3], block[3:]
+        for lo, hi in part:
+            vals, seg = zip(*(_value_row(rows, seed, i, c, lo, hi, scratch, v[r])
+                              for r, i, c in drawn.values()))
+            revs = [kernel(profile.curves, con, _Chunk(tuple(vals[r] for r in pick),
+                                                       tuple(seg[r] for r in pick), lo, hi),
+                           params)
+                    for (profile, con), pick in zip(runs, picks)]
+            if len(revs) == 1:
+                dest[lo - base : hi - base] = revs[0]
+            else:
+                np.subtract(*revs, out=dest[lo - base : hi - base])
+
+    draw_bytes = sum(8 * n_samples for _, _, c in drawn.values() if _draws(c))
+    processes = 1 if rows is not None else _processes(draw_bytes, len(spans))
+    if processes == 1:
+        fill(spans, out, 0)
+    else:
+        _split(fill, spans, processes, out)
     return out
 
 
@@ -702,8 +797,12 @@ def sample_revenues(
 ) -> np.ndarray:
     """Per-sample revenue array; the estimators above are views over this.
 
-    Every chunk runs in the caller's thread.  ``workers`` is ignored; only
-    the benchmark's stage table passes it.
+    The caller's thread runs every chunk, except that on Linux a large call
+    the row store does not admit is split across CPUs: the caller runs the
+    first contiguous range of chunks, and one forked child per further CPU
+    each other range (_processes, _split).  Every child is reaped before
+    this returns, and the bits do not depend on the split.  ``workers`` is
+    ignored; only the benchmark's stage table passes it.
     """
     return _revenues([(profile, constraint)], mechanism, n_samples, seed, params)
 
@@ -769,8 +868,13 @@ def estimate_revenue(
     The estimator defaults to median-of-means on ceil(sqrt(n)) blocks when
     any curve has unbounded support (their order statistics have heavy
     tails and plain CLT error bars are untrustworthy), else plain mean.
+    params are the mechanism's own, checked before any draw.
     """
     estimator = _estimator(estimator, profile)
+    # checked here, as sample_revenues would bind workers=... to its own
+    # ignored parameter
+    if fault := _mechanism_fault(mechanism, profile.n, params):
+        raise DomainError(fault[1])
     rev = sample_revenues(profile, constraint, mechanism, n_samples, seed, **params)
     return _summarize(rev, seed, estimator)
 

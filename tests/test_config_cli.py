@@ -530,6 +530,23 @@ def test_cli_simulate_starts_no_thread(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     assert main(["simulate", "--config", path]) == 0
     assert json.loads(capsys.readouterr().out)["estimate"] == want
+    # n3's six bidders at 10^6 draws: six uniform-drawing rows of 8 MB, so
+    # with two CPUs the call splits across two processes (one forked
+    # child), still without a thread, to the serial estimate
+    n3 = [{"equal_revenue": 1.0}, *[{"triangle": {"q": 0.5, "r": 0.5}}] * 2]
+    raw = {**BASE, "profile": {"curves": n3}, "plan": {"mode": "all_once"},
+           "sampling": {"n_samples": 1_000_000, "seed": 7}}
+    path = write_config(tmp_path, raw, "n3.json")
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(["simulate", "--config", path]) == 0
+    want = json.loads(capsys.readouterr().out)["estimate"]
+    assert forks == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["simulate", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["estimate"] == want
+    assert len(forks) == 1
 
 
 def test_cli_examples_n3_reads_seed_zero_and_samples_zero(capsys):

@@ -1,9 +1,11 @@
 import hashlib
 import math
+import os
 import random
 import struct
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -468,6 +470,18 @@ def test_unread_mechanism_params_are_refused_before_drawing(monkeypatch, mechani
     assert drawn == []
 
 
+def test_estimators_refuse_workers_before_drawing(monkeypatch):
+    # sample_revenues alone keeps an ignored workers parameter
+    drawn = []
+    monkeypatch.setattr(simulate, "uniforms", lambda *a, **kw: drawn.append(a))
+    prof = cv.make_profile([cv.make_triangle(0.5, 0.5)] * 2)
+    with pytest.raises(DomainError, match="spa reads no parameter 'workers'"):
+        estimate_revenue(prof, NO_CONSTRAINT, "spa", 100, 0, workers=2)
+    with pytest.raises(DomainError, match="spa reads no parameter 'workers'"):
+        paired_compare(prof, prof, NO_CONSTRAINT, NO_CONSTRAINT, "spa", 100, 0, workers=2)
+    assert drawn == []
+
+
 @pytest.mark.parametrize("prices", [[-1, -1], [0.5, math.nan], [math.inf, -0.5], [True, True]])
 def test_posted_prices_below_zero_or_nan_are_refused(monkeypatch, prices):
     # the kernel refuses them before drawing, and the scalar reference agrees
@@ -602,6 +616,155 @@ def test_paired_compare_draws_each_shared_row_once_per_chunk(monkeypatch, mechan
     paired_compare(a, both, NO_CONSTRAINT, NO_CONSTRAINT, mechanism, 20_000, 6, **params)
     # bidder 2 has a curve of its own in each run: two rows of one substream
     assert sorted(calls) == sorted([(i, 0, 20_000) for i in range(4)] + [(2, 0, 20_000)])
+
+
+# A call splits across processes where its uniform-drawing value rows take
+# 2 * _SPLIT_BYTES or more: here 9 of the 12 rows draw (3 are point
+# masses), 19 MiB at 2^18 + 5,000 draws over 16 chunks, so a call takes
+# two processes once two CPUs are free; spald draws 18 rows.
+_SPLIT_PROFILE = cv.make_profile(_GOLDEN_CURVES * 3)
+_SPLIT_DRAWS = (1 << 18) + 5_000
+_SPLIT_CALLS = {
+    "spa": (NO_CONSTRAINT, {}),
+    "vcg": (NO_CONSTRAINT, {"k": 3}),
+    "vcg_constrained": (PairConstraint(((0, 4), (1, 6), (2, 9))), {"k": 3}),
+    "myerson": (NO_CONSTRAINT, {}),
+    "lookahead": (NO_CONSTRAINT, {}),
+    "spald": (NO_CONSTRAINT, {}),
+    "posted": (NO_CONSTRAINT, {"prices": [0.9, 0.75, 0.5, 1.2] * 3}),
+}
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _fork_counter(monkeypatch, child=None):
+    """The pids os.fork returns to the parent, as a list that grows; child,
+    when given, runs in each child as soon as it is forked."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid == 0 and child is not None:
+            child()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _split_call(name, seed=4):
+    if name == "paired":
+        # the runs share the first eight rows
+        base = cv.make_profile(_GOLDEN_CURVES * 2)
+        return simulate._revenues([(_SPLIT_PROFILE, NO_CONSTRAINT), (base, NO_CONSTRAINT)],
+                                  "spa", _SPLIT_DRAWS, seed, {})
+    constraint, params = _SPLIT_CALLS[name]
+    return sample_revenues(_SPLIT_PROFILE, constraint, name, _SPLIT_DRAWS, seed, **params)
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", [*_SPLIT_CALLS, "paired"])
+def test_split_call_gives_the_serial_bytes(monkeypatch, name):
+    forks = _fork_counter(monkeypatch)
+    _cpus(monkeypatch, 1)
+    want = _split_call(name).tobytes()
+    assert forks == []
+    _cpus(monkeypatch, 2)
+    got = _split_call(name)
+    assert len(forks) == 1
+    _no_children()
+    assert got.tobytes() == want
+    if name == "paired":
+        assert paired_compare(_SPLIT_PROFILE, cv.make_profile(_GOLDEN_CURVES * 2), NO_CONSTRAINT,
+                              NO_CONSTRAINT, "spa", _SPLIT_DRAWS, 4) == simulate._summarize(
+            got, 4, simulate._estimator("", _SPLIT_PROFILE))
+
+
+# P = min(CPUs, W // _SPLIT_BYTES, chunks // 2) processes, W being the
+# bytes of the rows that draw uniforms (point masses draw none)
+@pytest.mark.parametrize("cpus, drawing, point_masses, n_samples, processes", [
+    (4, 8, 4, 1 << 18, 2),  # 16 MiB of drawing rows
+    (4, 7, 8, 1 << 18, 1),  # 14 MiB drawing, 30 MiB with the point masses
+    (4, 16, 0, 1 << 18, 4),
+    (3, 16, 0, 1 << 18, 3),
+    (1, 16, 0, 1 << 18, 1),
+    (4, 64, 0, 1 << 16, 2),  # 32 MiB over 4 chunks
+])
+def test_split_call_forks_one_child_per_extra_process(monkeypatch, cpus, drawing, point_masses,
+                                                      n_samples, processes):
+    forks = _fork_counter(monkeypatch)
+    _cpus(monkeypatch, cpus)
+    prof = cv.make_profile([cv.make_triangle(0.5, 0.5)] * drawing
+                           + [cv.make_point_mass(0.5)] * point_masses)
+    sample_revenues(prof, NO_CONSTRAINT, "spa", n_samples, 1)
+    assert len(forks) == processes - 1
+    _no_children()
+
+
+def test_split_call_fills_a_failed_range_itself(monkeypatch):
+    # a child that exits 3 at once, and a fork that raises, leave their
+    # ranges to the caller
+    forks = _fork_counter(monkeypatch, child=lambda: os._exit(3))
+    _cpus(monkeypatch, 1)
+    want = _split_call("vcg").tobytes()
+    _cpus(monkeypatch, 2)
+    assert _split_call("vcg").tobytes() == want
+    assert len(forks) == 1
+    _no_children()
+
+    def no_fork():
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _split_call("vcg").tobytes() == want
+
+
+def test_split_call_kills_its_children_when_the_caller_raises(monkeypatch):
+    # the caller is interrupted while it fills its own range, with the child
+    # stuck in its first draw: the child is killed and reaped, and the
+    # interrupt goes on up
+    parent, draw = os.getpid(), simulate.uniforms
+
+    def stuck_or_interrupted(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(120)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "uniforms", stuck_or_interrupted)
+    forks = _fork_counter(monkeypatch)
+    _cpus(monkeypatch, 2)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _split_call("spa")
+    assert time.monotonic() - t0 < 60
+    assert len(forks) == 1
+    _no_children()
+
+
+def test_split_call_does_not_fork_beside_another_thread(monkeypatch):
+    forks = _fork_counter(monkeypatch)
+    _cpus(monkeypatch, 1)
+    want = _split_call("spa").tobytes()
+    _cpus(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        got = _split_call("spa")
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert forks == [] and got.tobytes() == want
 
 
 def test_order_stat_two_triangles():
