@@ -44,7 +44,14 @@ from . import analysis, curves as cv
 from .duplication import DuplicatePlan, extend_profile
 from .errors import ConcavityViolation, DomainError, HypothesisViolated, ParseError
 from .exante import solve_exante
-from .simulate import MECHANISM_PARAMS, _estimator, _mechanism_fault, _summarize, sample_revenues
+from .simulate import (
+    MECHANISM_PARAMS,
+    _estimator,
+    _mechanism_fault,
+    _summarize,
+    sample_revenues,
+    sampling_processes,
+)
 
 # Largest draw count a config or --samples may ask for.  The revenue array
 # is held whole, 8 bytes a draw, so this many draws take 800 MB.
@@ -283,9 +290,11 @@ def run_experiment(config: ExperimentConfig):
 
     Returns (report dict, exit_code): 0 when every check passes, 1 otherwise.
     A check passes when estimate >= ratio * exante_opt - 4 * stderr.  The
-    report's "timings" (seconds per stage), "samples_per_s" and "env" (the
-    numpy and Python versions and os.cpu_count()) are the only fields that
-    are not reproducible from the config and seed.
+    report's "timings" (seconds per stage, and "processes": how many
+    processes filled the sampling call, 1 when it ran serial),
+    "samples_per_s" and "env" (the numpy and Python versions and
+    os.cpu_count()) are the only fields that are not reproducible from the
+    config and seed.
     """
     t0 = perf_counter()
     exante = solve_exante(config.profile, k=config.constants["k"])
@@ -322,7 +331,8 @@ def run_experiment(config: ExperimentConfig):
             "blocks": est.blocks,
         },
         "checks": check_rows,
-        "timings": {"exante_s": t1 - t0, "sampling_s": t3 - t2, "summary_s": t4 - t3},
+        "timings": {"exante_s": t1 - t0, "sampling_s": t3 - t2, "summary_s": t4 - t3,
+                    "processes": sampling_processes()},
         "samples_per_s": config.n_samples / (t3 - t2),
         "env": {
             "numpy": np.__version__,

@@ -47,10 +47,12 @@ Such a call runs in its caller's thread too, unless it is large enough
 to split across processes (_processes): on Linux, with no other Python
 thread alive (fork copies only the calling thread), it takes
 P = min(CPUs, W // _SPLIT_BYTES, chunks // 2) processes when that is at
-least 2, W being the bytes of its value rows that draw uniforms.  Its
+least 2, W being the bytes of the value rows it draws uniforms for.  Its
 chunk list is cut into P contiguous ranges; the caller fills the first
-and a forked child each other one, into an anonymous shared mapping, and
-every child is reaped before the call returns (_split).  A row is a pure
+and a worker each other one (_split).  Workers are forked by the first
+call that needs them and kept until the process exits (_Worker): each
+call hands a worker its range down a pipe, and the worker fills it into
+a buffer it shares with the caller, who copies it over.  A row is a pure
 function of its counters, so a split call returns the serial bits.
 Threads cannot share this work: each numpy call on a chunk hands the
 interpreter lock over, and two threads ran at 0.53-0.82 times the speed
@@ -75,10 +77,13 @@ its tolerance.
 
 from __future__ import annotations
 
+import atexit
+import ctypes
 import functools
 import math
 import mmap
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -119,10 +124,17 @@ _ROW_BUDGET = 6 << 20
 # Largest per-thread scratch buffer (_scratch) kept between chunks, in bytes.
 _SCRATCH_KEEP = 4 << 20
 # Bytes of uniform-drawing value rows each process of a split call needs
-# (_processes): with less, a fork, exit and reap (3.4 ms on a 2-core host)
-# and the child's page faults cost more than the second CPU saves (README,
-# "Splitting large calls across CPUs").
-_SPLIT_BYTES = 8 << 20
+# (_processes).  Handing a range to a worker and copying it back costs
+# about 0.8 ms on a 2-core host; two processes read 0.89-0.98 of serial
+# time at 0.5 MiB of rows each, 0.61-0.92 at 1 MiB and 0.54-0.88 at 2 MiB
+# (README, "Splitting large calls across CPUs").
+_SPLIT_BYTES = 2 << 20
+# Bytes of the buffer a worker shares with its caller (_Worker) that stay
+# mapped between split calls; a call whose range needs more grows it, and
+# the next call shrinks it back.
+_BUFFER_KEEP = 8 << 20
+# prctl(2) option: the signal a process gets when the thread that forked it exits
+_PR_SET_PDEATHSIG = 1
 # The 7-15 point Gauss-Kronrod rule on [-1, 1] (Kronrod 1965; the qk15
 # table of QUADPACK, Piessens et al. 1983), for the nodes x >= 0 from the
 # outside in.  Rows: the nodes, their Kronrod weights and their Gauss
@@ -540,6 +552,16 @@ def _rev_vcg_constrained(curves, constraint, ch, params):
     return pay.sum(axis=0)
 
 
+def _ranked(curve: cv.RevenueCurve) -> bool:
+    """Whether myerson ranks a bidder under curve: one with a slope >= 0.
+
+    A bidder whose slopes are all < 0 (an unbounded tail's is -scale)
+    never wins, and as the runner-up its virtual value is beaten by every
+    slope that can set a price, so its row is neither drawn nor read.
+    """
+    return bool(curve.table.slope_arr.max() >= 0.0)
+
+
 def _rev_myerson(curves, constraint, ch, params):
     """The first bidder with the highest virtual value wins if it is >= 0,
     and pays the value at the largest quantile at which it still wins.
@@ -549,13 +571,10 @@ def _rev_myerson(curves, constraint, ch, params):
     one): edge counts the leading segments whose slope is >= 0 and beats
     the runner-up's virtual value, strictly when the runner-up comes first
     and weakly when it comes later, as the stable tie rule ranks them.  A
-    lone bidder's runner-up reads -inf, which every slope beats.
-
-    A bidder whose slopes are all < 0 (an unbounded tail's is -scale)
-    never wins, and as the runner-up its virtual value is beaten by every
-    slope that can set a price, so only the others are ranked.
+    lone bidder's runner-up reads -inf, which every slope beats.  Only the
+    bidders _ranked names are ranked.
     """
-    live = [i for i, c in enumerate(curves) if c.table.slope_arr.max() >= 0.0]
+    live = [i for i, c in enumerate(curves) if _ranked(c)]
     m = ch.hi - ch.lo
     if not live:
         return np.zeros(m)
@@ -645,6 +664,9 @@ _MECHANISMS = {
 }
 # The parameters each mechanism reads; the rest read none.
 MECHANISM_PARAMS = {"vcg": ("k",), "vcg_constrained": ("k",), "posted": ("prices",)}
+# Which bidders' rows a mechanism's kernel reads, as a test on the bidder's
+# curve; the rest read every row.  A row no kernel reads is not drawn.
+_READS = {"myerson": _ranked}
 
 
 def mechanism_names() -> tuple:
@@ -673,91 +695,255 @@ def _mechanism_fault(mechanism: str, n: int, params: dict):
 def _processes(draw_bytes: int, chunks: int) -> int:
     """How many processes share a call of `chunks` chunks whose uniform-drawing
     value rows take draw_bytes: one per CPU this process may run on, while
-    each gets _SPLIT_BYTES of those rows and two chunks; 1 where fork is
-    unavailable or unsafe (another Python thread is alive)."""
-    if not (sys.platform.startswith("linux") and hasattr(os, "fork")):
+    each gets _SPLIT_BYTES of those rows and two chunks.  1 off Linux, while
+    another Python thread is alive (fork is unsafe, and two threads must not
+    share the workers), and in any process forked from one that imported
+    this module (_forget_workers), so a worker never splits."""
+    if _FORKED or not (sys.platform.startswith("linux") and hasattr(os, "fork")
+                       and hasattr(os, "memfd_create")):
         return 1
     if threading.active_count() != 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), draw_bytes // _SPLIT_BYTES, chunks // 2))
 
 
-def _split(fill, spans, processes: int, out: np.ndarray) -> None:
+class _Worker:
+    """A forked process that fills chunk ranges of split calls (_split).
+
+    The caller writes each job, pickled, to the pipe `jobs`.  The worker
+    fills the job's range into its buffer, the anonymous file `fd`
+    (os.memfd_create) that both processes map shared, and answers on the
+    pipe `done` with one byte: 0 when it filled the range, 1 when its fill
+    raised.  EOF on `done` means the worker is gone.  A worker serves until
+    its process exits: _stop_workers closes `jobs` at exit, and the worker
+    leaves on that EOF; if the process dies first, the kernel kills the
+    worker (PR_SET_PDEATHSIG, set in _serve).
+    """
+
+    def __init__(self, pid: int, jobs: int, done: int, fd: int):
+        self.pid, self.jobs, self.done, self.fd = pid, jobs, done, fd
+        self.size, self.view = 0, None  # the caller's map of the buffer
+
+    @classmethod
+    def fork(cls):
+        """A new worker, or None when its pipes or its fork fail.
+
+        Python 3.12 and later make os.fork warn (DeprecationWarning) in a
+        process with more than one OS thread, and numpy's OpenBLAS starts
+        one per extra core.  A worker is forked once for the life of its
+        process, so the warning fires once per worker, not once per call.
+        It is left unsilenced: a worker makes no BLAS call, but the warning
+        names a real hazard for other code that forks here.
+        """
+        ends = []
+        try:
+            ends += os.pipe()
+            ends += os.pipe()
+            ends.append(os.memfd_create("dupkit-split"))
+            parent = os.getpid()
+            pid = os.fork()
+        except OSError:
+            for end in ends:
+                os.close(end)
+            return None
+        jobs_r, jobs, done, done_w, fd = ends
+        if pid == 0:
+            _serve(jobs_r, done_w, fd, parent, (jobs, done))
+        os.close(jobs_r)
+        os.close(done_w)
+        return cls(pid, jobs, done, fd)
+
+    def send(self, job: tuple, nbytes: int) -> bool:
+        """Hand the worker job, whose range takes nbytes, first sizing the
+        buffer to max(nbytes, _BUFFER_KEEP); False if the worker is gone or
+        the buffer cannot be sized."""
+        size = max(nbytes, _BUFFER_KEEP)
+        data = memoryview(pickle.dumps((*job, size), pickle.HIGHEST_PROTOCOL))
+        try:
+            if size != self.size:
+                self.size, self.view = 0, None
+                os.ftruncate(self.fd, size)
+                self.size, self.view = size, np.frombuffer(mmap.mmap(self.fd, size))
+            while data:
+                data = data[os.write(self.jobs, data):]
+        except OSError:  # BrokenPipeError when the worker is gone
+            return False
+        return True
+
+    def answer(self) -> bool:
+        """Wait for the worker's answer: whether it filled its range."""
+        return os.read(self.done, 1) == b"\0"
+
+    def stop(self, kill: bool = False) -> None:
+        """End the worker by EOF on its job pipe (or SIGKILL, if kill),
+        reap it and close its descriptors."""
+        os.close(self.jobs)
+        try:
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        except (ChildProcessError, ProcessLookupError):  # reaped by other code already
+            pass
+        os.close(self.done)
+        os.close(self.fd)
+
+
+def _serve(jobs: int, done: int, fd: int, parent: int, callers: tuple) -> None:
+    """A worker's life, run in the child right after its fork: fill each
+    job's range into the shared buffer and answer it, until EOF on jobs.
+
+    It first closes the caller's ends of its pipes (callers), so that EOF
+    comes when the caller closes or dies, and asks the kernel to kill it
+    when its parent dies; if the parent is already gone (the pid it sees
+    as its parent is no longer `parent`), it leaves at once.  It leaves
+    only by os._exit, on SIGINT too, so it never unwinds into the caller's
+    code, runs no atexit hook and flushes no stdio buffer.  It runs the
+    code its process had at the fork: a module patched later is not seen.
+    """
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        for end in callers:
+            os.close(end)
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int] + [ctypes.c_ulong] * 4, ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+        reader, size, view = os.fdopen(jobs, "rb"), 0, None
+        while os.getppid() == parent:
+            try:
+                runs, mechanism, n_samples, seed, params, a, b, nbytes = pickle.load(reader)
+            except EOFError:
+                break
+            if nbytes != size:
+                size, view = nbytes, np.frombuffer(mmap.mmap(fd, nbytes))
+            answer = b"\1"
+            try:
+                part = _spans(n_samples)[a:b]
+                fill = _filler(runs, mechanism, seed, params, *_rows_read(runs, mechanism), None)
+                fill(part, view, part[0][0])
+                answer = b"\0"
+            except Exception:  # the caller refills the range, and raises it there
+                pass
+            os.write(done, answer)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+_WORKERS = []  # this process's workers, in the order forked
+_FORKED = False  # whether this process was forked from one that imported this module
+
+
+def _forget_workers() -> None:
+    """Run in the child of every os.fork: it closes its copies of the
+    parent's workers' descriptors, so it can never write to them, and it
+    never splits a call (_processes)."""
+    global _FORKED
+    _FORKED = True
+    for worker in _WORKERS:
+        for end in (worker.jobs, worker.done, worker.fd):
+            os.close(end)
+    _WORKERS.clear()
+
+
+def _stop_workers() -> None:
+    """End and reap every worker; run at exit."""
+    while _WORKERS:
+        _WORKERS.pop().stop()
+
+
+def _retire(worker: _Worker, kill: bool = False) -> None:
+    _WORKERS.remove(worker)
+    worker.stop(kill)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+atexit.register(_stop_workers)
+
+
+def _split(job: tuple, fill, spans, processes: int, out: np.ndarray) -> int:
     """fill(part, dest, base) over the chunks spans, cut into `processes`
-    contiguous ranges: the caller fills the first into out and forks a child
-    for each other, which fills its range into an anonymous shared mapping
-    and leaves by os._exit.  A range whose child cannot be forked or exits
-    non-zero is filled by the caller, to the same bits, and every child is
-    reaped (killed first if the caller raises) before this returns.
+    contiguous ranges: the caller fills the first straight into out and a
+    worker each other one, which the caller then copies over.  Returns how
+    many processes filled a range.
+
+    job is (runs, mechanism, n_samples, seed, params), from which a worker
+    builds the caller's fill.  Missing workers are forked first.  A range
+    whose worker cannot be forked, is gone or answers 1 is filled by the
+    caller, to the same bits, and that worker is reaped, so the next call
+    forks a fresh one.  If the caller raises (KeyboardInterrupt included),
+    every worker that has not answered is killed and reaped.
     """
     cuts = [len(spans) * p // processes for p in range(processes + 1)]
-    parts = [spans[a:b] for a, b in zip(cuts, cuts[1:])]
-    base = parts[1][0][0]
-    # the children's draws [base, n); the caller's range goes straight into
-    # out, whose heap block the allocator has usually faulted in already
-    shared = np.frombuffer(mmap.mmap(-1, 8 * (out.shape[0] - base)))
-    children, mine = {}, [parts[0]]  # pid -> its range; ranges the caller fills
+    ranges = list(zip(cuts, cuts[1:]))
+    while len(_WORKERS) < processes - 1 and (worker := _Worker.fork()) is not None:
+        _WORKERS.append(worker)
+    workers = _WORKERS[: processes - 1]
+    # ranges the caller fills; (worker, range) not yet answered
+    mine, sent = [ranges[0], *ranges[1 + len(workers):]], []
     try:
-        for part in parts[1:]:
-            try:
-                pid = os.fork()
-            except OSError:
-                mine.append(part)
-                continue
-            if pid == 0:
-                code = 1
-                try:
-                    fill(part, shared, base)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children[pid] = part
-        for part in mine:
-            fill(part, out, 0)
-        for pid, part in list(children.items()):
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            if status:
-                fill(part, out, 0)
+        for worker, (a, b) in zip(workers, ranges[1:]):
+            if worker.send((*job, a, b), 8 * (spans[b - 1][1] - spans[a][0])):
+                sent.append((worker, (a, b)))
             else:
-                lo, hi = part[0][0], part[-1][1]
-                out[lo:hi] = shared[lo - base : hi - base]
+                _retire(worker)
+                mine.append((a, b))
+        for a, b in mine:
+            fill(spans[a:b], out, 0)
+        filled = 1
+        while sent:
+            worker, (a, b) = sent[0]
+            ok = worker.answer()
+            del sent[0]
+            lo, hi = spans[a][0], spans[b - 1][1]
+            if ok:
+                out[lo:hi] = worker.view[: hi - lo]
+                filled += 1
+            else:
+                _retire(worker)
+                fill(spans[a:b], out, 0)
     finally:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for worker, _ in sent:
+            _retire(worker, kill=True)
+    return filled
 
 
-def _revenues(runs, mechanism: str, n_samples: int, seed: int, params) -> np.ndarray:
-    """Per-draw revenue of the run runs[0], less that of runs[1] when given.
+def _rows_read(runs, mechanism: str):
+    """The distinct rows a call draws, and the row each bidder's kernel reads.
 
-    A run is a (profile, constraint).  Its row i draws substream i under
-    curve i, and spald's row n + j substream n + j under curve j.  Rows are
-    keyed by (substream, curve bits), and each distinct one is drawn once
-    per chunk, so two runs draw the rows they share once; both kernels read
-    them, and their difference goes chunk by chunk into one array.  A call
-    the row store does not admit may be split across processes (_split).
+    Returns (drawn, picks): drawn maps (substream, curve bits) to (row,
+    substream, curve), and picks holds for each run the row of each of its
+    bidders, None where the run's kernel reads no row (_READS).  A run's
+    row i draws substream i under curve i, and spald's row n + j
+    substream n + j under curve j.  Each distinct row is drawn once per
+    chunk, so two runs draw the rows they share once.
     """
-    for profile, _ in runs:
-        if fault := _mechanism_fault(mechanism, profile.n, params):
-            raise DomainError(fault[1])
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    kernel = _MECHANISMS[mechanism]
-    runs = [(profile, NO_CONSTRAINT if con is None else con) for profile, con in runs]
-    drawn, picks = {}, []  # (substream, curve bits) -> (row, substream, curve); rows per run
+    reads = _READS.get(mechanism)
+    drawn, picks = {}, []
     for profile, _ in runs:
         curves = profile.curves * 2 if mechanism == "spald" else profile.curves
-        picks.append([drawn.setdefault((i, c.table.key), (len(drawn), i, c))[0]
+        picks.append([None if reads and not reads(c)
+                      else drawn.setdefault((i, c.table.key), (len(drawn), i, c))[0]
                       for i, c in enumerate(curves)])
-    out = np.empty(n_samples)
-    # Chunks start at multiples of _CHUNK, and a remainder shorter than half
-    # a chunk joins the chunk before it, so no call ends on a sliver.
+    return drawn, picks
+
+
+def _spans(n_samples: int) -> list:
+    """The (lo, hi) counter spans of a call's chunks.  Chunks start at
+    multiples of _CHUNK, and a remainder shorter than half a chunk joins
+    the chunk before it, so no call ends on a sliver."""
     starts = list(range(0, n_samples - _CHUNK // 2, _CHUNK)) or [0]
-    spans = list(zip(starts, [*starts[1:], n_samples]))
-    rows = _row_store()
-    if not rows.admit(seed, len(drawn) * n_samples * 8):
-        rows = None
+    return list(zip(starts, [*starts[1:], n_samples]))
+
+
+def _filler(runs, mechanism: str, seed: int, params, drawn, picks, rows):
+    """fill(part, dest, base): per-draw revenue of runs[0], less that of
+    runs[1] when given, over the chunk spans part, into dest[lo - base :
+    hi - base] for each span [lo, hi); (drawn, picks) is _rows_read(runs,
+    mechanism), and rows the row store or None."""
+    kernel = _MECHANISMS[mechanism]
+    unread = (None, None)
 
     def fill(part, dest, base):
         # one scratch block and one block of value rows per thread,
@@ -766,10 +952,10 @@ def _revenues(runs, mechanism: str, n_samples: int, seed: int, params) -> np.nda
         block = _scratch("revenues", (3 + len(drawn), width), np.float64)
         scratch, v = block[:3], block[3:]
         for lo, hi in part:
-            vals, seg = zip(*(_value_row(rows, seed, i, c, lo, hi, scratch, v[r])
-                              for r, i, c in drawn.values()))
-            revs = [kernel(profile.curves, con, _Chunk(tuple(vals[r] for r in pick),
-                                                       tuple(seg[r] for r in pick), lo, hi),
+            got = [_value_row(rows, seed, i, c, lo, hi, scratch, v[r])
+                   for r, i, c in drawn.values()]
+            revs = [kernel(profile.curves, con,
+                           _Chunk(*zip(*(unread if r is None else got[r] for r in pick)), lo, hi),
                            params)
                     for (profile, con), pick in zip(runs, picks)]
             if len(revs) == 1:
@@ -777,13 +963,45 @@ def _revenues(runs, mechanism: str, n_samples: int, seed: int, params) -> np.nda
             else:
                 np.subtract(*revs, out=dest[lo - base : hi - base])
 
+    return fill
+
+
+def _revenues(runs, mechanism: str, n_samples: int, seed: int, params) -> np.ndarray:
+    """Per-draw revenue of the run runs[0], less that of runs[1] when given.
+
+    A run is a (profile, constraint).  Each run's kernel reads its rows of
+    every chunk (_rows_read), and the difference goes chunk by chunk into
+    one array.  A call the row store does not admit may be split across
+    processes (_split).  The number of processes that filled the call is
+    kept for sampling_processes.
+    """
+    for profile, _ in runs:
+        if fault := _mechanism_fault(mechanism, profile.n, params):
+            raise DomainError(fault[1])
+    if n_samples < 1:
+        raise DomainError("n_samples must be >= 1")
+    runs = [(profile, NO_CONSTRAINT if con is None else con) for profile, con in runs]
+    drawn, picks = _rows_read(runs, mechanism)
+    spans = _spans(n_samples)
+    rows = _row_store()
+    if not rows.admit(seed, len(drawn) * n_samples * 8):
+        rows = None
+    fill = _filler(runs, mechanism, seed, params, drawn, picks, rows)
+    out = np.empty(n_samples)
     draw_bytes = sum(8 * n_samples for _, _, c in drawn.values() if _draws(c))
     processes = 1 if rows is not None else _processes(draw_bytes, len(spans))
     if processes == 1:
         fill(spans, out, 0)
     else:
-        _split(fill, spans, processes, out)
+        processes = _split((runs, mechanism, n_samples, seed, params), fill, spans, processes, out)
+    _SCRATCH.processes = processes
     return out
+
+
+def sampling_processes() -> int:
+    """How many processes filled this thread's last sampling call: 1 when it
+    ran serial (before any call too)."""
+    return getattr(_SCRATCH, "processes", 1)
 
 
 def sample_revenues(
@@ -799,10 +1017,11 @@ def sample_revenues(
 
     The caller's thread runs every chunk, except that on Linux a large call
     the row store does not admit is split across CPUs: the caller runs the
-    first contiguous range of chunks, and one forked child per further CPU
-    each other range (_processes, _split).  Every child is reaped before
-    this returns, and the bits do not depend on the split.  ``workers`` is
-    ignored; only the benchmark's stage table passes it.
+    first contiguous range of chunks, and one worker process per further
+    CPU each other range (_processes, _split).  Workers are forked by the
+    first call that needs them and serve until the process exits; the
+    bits do not depend on the split.  ``workers`` is ignored; only the
+    benchmark's stage table passes it.
     """
     return _revenues([(profile, constraint)], mechanism, n_samples, seed, params)
 

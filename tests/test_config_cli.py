@@ -156,8 +156,11 @@ def test_report_csv_is_flat():
     lines = text.strip().split("\n")
     assert lines[0] == "key,value"
     assert any(line.startswith("estimate.mean,") for line in lines)
-    for key in ("timings.exante_s", "timings.sampling_s", "timings.summary_s", "samples_per_s"):
+    for key in ("timings.exante_s", "timings.sampling_s", "timings.summary_s",
+                "timings.processes", "samples_per_s"):
         assert any(line.startswith(key + ",") for line in lines)
+    # 2,000 draws are one chunk, which no process shares
+    assert "timings.processes,1" in lines
 
 
 def test_report_timings_match_estimate():
@@ -172,8 +175,9 @@ def test_report_timings_match_estimate():
         "blocks": est.blocks,
     }
     timings = report["timings"]
-    assert sorted(timings) == ["exante_s", "sampling_s", "summary_s"]
+    assert sorted(timings) == ["exante_s", "processes", "sampling_s", "summary_s"]
     assert all(t >= 0.0 for t in timings.values())
+    assert timings["processes"] == 1
     assert report["samples_per_s"] == pytest.approx(2000 / timings["sampling_s"])
 
 
@@ -531,8 +535,10 @@ def test_cli_simulate_starts_no_thread(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", path]) == 0
     assert json.loads(capsys.readouterr().out)["estimate"] == want
     # n3's six bidders at 10^6 draws: six uniform-drawing rows of 8 MB, so
-    # with two CPUs the call splits across two processes (one forked
-    # child), still without a thread, to the serial estimate
+    # with two CPUs the call splits across two processes, still without a
+    # thread, to the serial estimate; the first such run forks the worker
+    # and the second reuses it, and the report and its CSV say how many
+    # processes filled the call
     n3 = [{"equal_revenue": 1.0}, *[{"triangle": {"q": 0.5, "r": 0.5}}] * 2]
     raw = {**BASE, "profile": {"curves": n3}, "plan": {"mode": "all_once"},
            "sampling": {"n_samples": 1_000_000, "seed": 7}}
@@ -541,11 +547,20 @@ def test_cli_simulate_starts_no_thread(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert main(["simulate", "--config", path]) == 0
-    want = json.loads(capsys.readouterr().out)["estimate"]
-    assert forks == []
+    report = json.loads(capsys.readouterr().out)
+    want = report["estimate"]
+    assert forks == [] and report["timings"]["processes"] == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert main(["simulate", "--config", path]) == 0
-    assert json.loads(capsys.readouterr().out)["estimate"] == want
+    for fmt in ("json", "csv"):
+        assert main(["simulate", "--config", path, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            report = json.loads(out)
+            assert report["estimate"] == want and report["timings"]["processes"] == 2
+        else:
+            rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+            assert rows["timings.processes"] == "2"
+            assert rows["estimate.mean"] == repr(want["mean"])
     assert len(forks) == 1
 
 

@@ -2,7 +2,9 @@ import hashlib
 import math
 import os
 import random
+import signal
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -181,6 +183,9 @@ def test_fill_rows_are_scalar_sample_values(monkeypatch):
         return np.zeros(ch.hi - ch.lo)
 
     monkeypatch.setitem(simulate._MECHANISMS, "spald", capture)
+    # one CPU: a split call's worker would fill its range in its own copy
+    # of seen
+    _cpus(monkeypatch, 1)
     sample_revenues(cv.make_profile(curves), NO_CONSTRAINT, "spald", n_samples, seed)
     for i, row in enumerate(seen):
         c = curves[i % n]
@@ -618,10 +623,41 @@ def test_paired_compare_draws_each_shared_row_once_per_chunk(monkeypatch, mechan
     assert sorted(calls) == sorted([(i, 0, 20_000) for i in range(4)] + [(2, 0, 20_000)])
 
 
+def test_myerson_draws_only_the_rows_it_ranks(monkeypatch):
+    # the equal-revenue bidder's slopes are all < 0, so myerson never ranks
+    # it: its row is not drawn, nor counted among the rows that split a call
+    calls = []
+    draw = simulate.uniforms
+    monkeypatch.setattr(simulate, "uniforms",
+                        lambda *a, **kw: calls.append(a[1:4]) or draw(*a, **kw))
+    monkeypatch.setattr(simulate._SCRATCH, "rows", _RowStore(_ROW_BUDGET), raising=False)
+    curves = [cv.make_triangle(0.5, 0.5), cv.make_equal_revenue(1.0), cv.make_triangle(0.3, 0.8)]
+    prof = cv.make_profile(curves)
+    rev = sample_revenues(prof, NO_CONSTRAINT, "myerson", 40_000, 3)
+    assert sorted(calls) == sorted((i, lo, hi) for i in (0, 2)
+                                   for lo, hi in [(0, 16_384), (16_384, 40_000)])
+    # the kernel reads the same bits with every row drawn
+    calls.clear()
+    v = np.empty((3, 40_000))
+    rows = [_value_row(None, 3, i, c, 0, 40_000, np.empty((3, 40_000)), v[i])
+            for i, c in enumerate(curves)]
+    ch = _Chunk(*zip(*rows), 0, 40_000)
+    assert simulate._rev_myerson(prof.curves, NO_CONSTRAINT, ch, {}).tobytes() == rev.tobytes()
+    assert len(calls) == 3
+    # 2^18 draws of two drawing rows and one unread: 4 MiB, so two
+    # processes, where counting the unread row would make it three (at a
+    # new seed, which the row store does not admit)
+    _cpus(monkeypatch, 4)
+    sample_revenues(prof, NO_CONSTRAINT, "myerson", 1 << 18, 4)
+    assert simulate.sampling_processes() == 2
+
+
 # A call splits across processes where its uniform-drawing value rows take
 # 2 * _SPLIT_BYTES or more: here 9 of the 12 rows draw (3 are point
 # masses), 19 MiB at 2^18 + 5,000 draws over 16 chunks, so a call takes
-# two processes once two CPUs are free; spald draws 18 rows.
+# two processes once two CPUs are free; spald draws 18 rows.  The autouse
+# fixture in conftest.py stops the workers after each test, so each test
+# starts with none.
 _SPLIT_PROFILE = cv.make_profile(_GOLDEN_CURVES * 3)
 _SPLIT_DRAWS = (1 << 18) + 5_000
 _SPLIT_CALLS = {
@@ -666,7 +702,21 @@ def _split_call(name, seed=4):
     return sample_revenues(_SPLIT_PROFILE, constraint, name, _SPLIT_DRAWS, seed, **params)
 
 
+def _serial(monkeypatch, name, seed=4):
+    """The bytes of _split_call run on one CPU, then two CPUs again."""
+    _cpus(monkeypatch, 1)
+    want = _split_call(name, seed).tobytes()
+    assert simulate.sampling_processes() == 1
+    _cpus(monkeypatch, 2)
+    return want
+
+
+def _workers():
+    return [w.pid for w in simulate._WORKERS]
+
+
 def _no_children():
+    simulate._stop_workers()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -674,97 +724,297 @@ def _no_children():
 @pytest.mark.parametrize("name", [*_SPLIT_CALLS, "paired"])
 def test_split_call_gives_the_serial_bytes(monkeypatch, name):
     forks = _fork_counter(monkeypatch)
-    _cpus(monkeypatch, 1)
-    want = _split_call(name).tobytes()
+    want = _serial(monkeypatch, name)
     assert forks == []
-    _cpus(monkeypatch, 2)
     got = _split_call(name)
-    assert len(forks) == 1
-    _no_children()
+    assert simulate.sampling_processes() == 2
     assert got.tobytes() == want
+    assert forks == _workers() and len(forks) == 1
     if name == "paired":
         assert paired_compare(_SPLIT_PROFILE, cv.make_profile(_GOLDEN_CURVES * 2), NO_CONSTRAINT,
                               NO_CONSTRAINT, "spa", _SPLIT_DRAWS, 4) == simulate._summarize(
             got, 4, simulate._estimator("", _SPLIT_PROFILE))
+        assert simulate.sampling_processes() == 2
+    _no_children()
 
 
 # P = min(CPUs, W // _SPLIT_BYTES, chunks // 2) processes, W being the
-# bytes of the rows that draw uniforms (point masses draw none)
+# bytes of the rows that draw uniforms (point masses draw none); three such
+# calls fork P - 1 workers in all
 @pytest.mark.parametrize("cpus, drawing, point_masses, n_samples, processes", [
-    (4, 8, 4, 1 << 18, 2),  # 16 MiB of drawing rows
-    (4, 7, 8, 1 << 18, 1),  # 14 MiB drawing, 30 MiB with the point masses
+    (4, 2, 4, 1 << 18, 2),  # 4 MiB of drawing rows
+    (4, 1, 8, 1 << 18, 1),  # 2 MiB drawing, 18 MiB with the point masses
     (4, 16, 0, 1 << 18, 4),
     (3, 16, 0, 1 << 18, 3),
     (1, 16, 0, 1 << 18, 1),
     (4, 64, 0, 1 << 16, 2),  # 32 MiB over 4 chunks
 ])
-def test_split_call_forks_one_child_per_extra_process(monkeypatch, cpus, drawing, point_masses,
-                                                      n_samples, processes):
+def test_split_calls_fork_one_worker_per_extra_process(monkeypatch, cpus, drawing, point_masses,
+                                                       n_samples, processes):
+    assert simulate._SPLIT_BYTES == 2 << 20
     forks = _fork_counter(monkeypatch)
     _cpus(monkeypatch, cpus)
     prof = cv.make_profile([cv.make_triangle(0.5, 0.5)] * drawing
                            + [cv.make_point_mass(0.5)] * point_masses)
-    sample_revenues(prof, NO_CONSTRAINT, "spa", n_samples, 1)
-    assert len(forks) == processes - 1
+    for seed in range(3):
+        sample_revenues(prof, NO_CONSTRAINT, "spa", n_samples, seed)
+        assert simulate.sampling_processes() == processes
+    assert len(forks) == processes - 1 and forks == _workers()
     _no_children()
 
 
-def test_split_call_fills_a_failed_range_itself(monkeypatch):
-    # a child that exits 3 at once, and a fork that raises, leave their
-    # ranges to the caller
-    forks = _fork_counter(monkeypatch, child=lambda: os._exit(3))
-    _cpus(monkeypatch, 1)
-    want = _split_call("vcg").tobytes()
+def test_workers_are_kept_across_calls_and_added_as_needed(monkeypatch):
+    forks = _fork_counter(monkeypatch)
+    want = {cpus: [] for cpus in (1, 2, 3)}
+    for cpus in want:
+        _cpus(monkeypatch, cpus)
+        for seed in (5, 6):
+            want[cpus].append(_split_call("spa", seed).tobytes())
+            assert simulate.sampling_processes() == cpus
+    # two calls on two CPUs forked one worker, and two on three one more
+    assert len(forks) == 2 and forks == _workers()
+    assert want[1] == want[2] == want[3]
     _cpus(monkeypatch, 2)
-    assert _split_call("vcg").tobytes() == want
-    assert len(forks) == 1
+    assert _split_call("spa", 5).tobytes() == want[1][0]
+    assert forks == _workers()
     _no_children()
 
-    def no_fork():
-        raise OSError("no process to spare")
 
-    monkeypatch.setattr(os, "fork", no_fork)
+def _always_fails():
+    raise OSError("no process to spare")
+
+
+@pytest.mark.parametrize("fault", ["exits", "fork_raises", "fill_raises"])
+def test_a_failed_worker_leaves_its_range_to_the_caller(monkeypatch, fault):
+    # a worker that exits at once, a fork that raises, and a worker whose
+    # fill raises: the caller fills that range to the same bytes, a worker
+    # that failed is reaped, and the next call forks a fresh one
+    want = _serial(monkeypatch, "vcg")
+    parent, value_row, fork = os.getpid(), simulate._value_row, os.fork
+    if fault == "exits":
+        forks = _fork_counter(monkeypatch, child=lambda: os._exit(3))
+    elif fault == "fork_raises":
+        monkeypatch.setattr(os, "fork", _always_fails)
+    else:
+        def raises_in_a_worker(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("a worker's fill fails")
+            return value_row(*args)
+
+        monkeypatch.setattr(simulate, "_value_row", raises_in_a_worker)
+        forks = _fork_counter(monkeypatch)
+    for calls in (1, 2):
+        assert _split_call("vcg").tobytes() == want
+        assert simulate.sampling_processes() == 1
+        assert _workers() == []
+        if fault != "fork_raises":
+            assert len(forks) == calls
+    monkeypatch.setattr(simulate, "_value_row", value_row)
+    monkeypatch.setattr(os, "fork", fork)
+    forks = _fork_counter(monkeypatch)
     assert _split_call("vcg").tobytes() == want
+    assert simulate.sampling_processes() == 2 and len(forks) == 1
+    _no_children()
 
 
-def test_split_call_kills_its_children_when_the_caller_raises(monkeypatch):
-    # the caller is interrupted while it fills its own range, with the child
-    # stuck in its first draw: the child is killed and reaped, and the
-    # interrupt goes on up
-    parent, draw = os.getpid(), simulate.uniforms
+def _interrupt_after(seconds):
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    return previous
+
+
+@pytest.mark.parametrize("when", ["filling", "waiting"])
+def test_an_interrupted_call_kills_its_busy_worker(monkeypatch, when):
+    # the caller is interrupted while it fills its own range, or while it
+    # waits for the worker, which is stuck in its first draw: the worker is
+    # killed and reaped, the interrupt goes on up, and the next call forks
+    # a fresh worker
+    want = _serial(monkeypatch, "spa")
+    parent, draw, stuck = os.getpid(), simulate.uniforms, []
 
     def stuck_or_interrupted(*args, **kwargs):
-        if os.getpid() == parent:
+        if os.getpid() != parent and not stuck:
+            stuck.append(time.sleep(120))
+        elif os.getpid() == parent and when == "filling":
             raise KeyboardInterrupt
-        time.sleep(120)
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(simulate, "uniforms", stuck_or_interrupted)
     forks = _fork_counter(monkeypatch)
-    _cpus(monkeypatch, 2)
+    previous = _interrupt_after(1.0) if when == "waiting" else None
     t0 = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        _split_call("spa")
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            _split_call("spa")
+    finally:
+        if previous is not None:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - t0 < 60
-    assert len(forks) == 1
+    assert len(forks) == 1 and _workers() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+    monkeypatch.setattr(simulate, "uniforms", draw)
+    assert _split_call("spa").tobytes() == want
+    assert simulate.sampling_processes() == 2 and len(forks) == 2
     _no_children()
 
 
-def test_split_call_does_not_fork_beside_another_thread(monkeypatch):
-    forks = _fork_counter(monkeypatch)
-    _cpus(monkeypatch, 1)
-    want = _split_call("spa").tobytes()
-    _cpus(monkeypatch, 2)
+def _split_beside_another_thread():
+    """_split_call("spa") while another thread waits; asserts the thread ends."""
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
     try:
-        got = _split_call("spa")
+        return _split_call("spa")
     finally:
         release.set()
         other.join(timeout=60)
-    assert not other.is_alive()
-    assert forks == [] and got.tobytes() == want
+        assert not other.is_alive()
+
+
+def test_split_call_does_not_fork_beside_another_thread(monkeypatch):
+    # nor hand work to workers it forked before the thread started
+    forks = _fork_counter(monkeypatch)
+    want = _serial(monkeypatch, "spa")
+    assert _split_beside_another_thread().tobytes() == want
+    assert simulate.sampling_processes() == 1 and forks == []
+    _split_call("spa")
+    assert len(forks) == 1
+    assert _split_beside_another_thread().tobytes() == want
+    assert simulate.sampling_processes() == 1 and len(forks) == 1
+    _no_children()
+
+
+def test_a_worker_never_splits(monkeypatch):
+    # in a worker, _processes reads 1 for any call; a worker that saw
+    # otherwise would answer 1 and leave its range to the caller
+    parent, value_row = os.getpid(), simulate._value_row
+
+    def checked(*args):
+        if os.getpid() != parent and simulate._processes(1 << 40, 1 << 20) != 1:
+            raise AssertionError("a worker would split")
+        return value_row(*args)
+
+    monkeypatch.setattr(simulate, "_value_row", checked)
+    want = _serial(monkeypatch, "spa")
+    assert _split_call("spa").tobytes() == want
+    assert simulate.sampling_processes() == 2
+    assert simulate._processes(1 << 40, 1 << 20) == 2
+    _no_children()
+
+
+def test_a_child_forked_after_a_split_call_runs_serial(monkeypatch):
+    # the child forgets its parent's workers and closes their descriptors,
+    # so it never writes to them, and runs a split-sized call serial; the
+    # parent's worker serves on, unforked again
+    want = _serial(monkeypatch, "spa")
+    _split_call("spa")
+    (worker,) = simulate._WORKERS
+    ends = (worker.jobs, worker.done, worker.fd)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            closed = 0
+            for end in ends:
+                try:
+                    os.fstat(end)
+                except OSError:
+                    closed += 1
+            got = _split_call("spa").tobytes()
+            code = 0 if (closed == 3 and simulate._WORKERS == [] and got == want
+                         and simulate.sampling_processes() == 1) else 2
+        finally:
+            os._exit(code)
+    assert os.waitpid(pid, 0)[1] == 0
+    forks = _fork_counter(monkeypatch)
+    assert _split_call("spa").tobytes() == want
+    assert simulate.sampling_processes() == 2
+    assert forks == [] and simulate._WORKERS == [worker]
+    _no_children()
+
+
+_LEAVER = """
+import atexit, os, sys, time
+os.sched_getaffinity = lambda pid: {0, 1}
+pids = []
+
+def reaped():
+    # registered before dupkit's own exit hook, so it runs after it
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return
+    print("reaped", flush=True)
+
+atexit.register(reaped)
+from dupkit import curves as cv, simulate
+from dupkit.mechanisms import NO_CONSTRAINT
+how, parent, draw = sys.argv[1], os.getpid(), simulate.uniforms
+
+def uniforms(*args, **kwargs):
+    # busy: the worker sleeps in its first draw, and the caller names it
+    # from its own range, then waits for the worker's answer
+    if how == "busy" and os.getpid() != parent:
+        time.sleep(120)
+    elif how == "busy" and os.getpid() == parent and args[1:3] == (0, 0):
+        print(*(w.pid for w in simulate._WORKERS), flush=True)
+    return draw(*args, **kwargs)
+
+simulate.uniforms = uniforms
+prof = cv.make_profile([cv.make_triangle(0.5, 0.5)] * 8)
+simulate.sample_revenues(prof, NO_CONSTRAINT, "spa", 1 << 18, 1)
+assert simulate.sampling_processes() == 2
+pids += [w.pid for w in simulate._WORKERS]
+print(*pids, flush=True)
+if how == "exit3":
+    sys.exit(3)
+if how == "raise":
+    raise RuntimeError("uncaught")
+if how != "normal":
+    time.sleep(120)
+"""
+
+
+def _gone(pid):
+    """Whether pid has exited: no such process, or a zombie not yet reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.parametrize("how", ["normal", "exit3", "raise", "sigkill", "busy"])
+def test_a_process_that_split_a_call_leaves_no_worker_behind(how):
+    # normal, sys.exit(3) and an uncaught exception reap the worker at
+    # exit; SIGKILL of the process ends its idle worker, and its busy one
+    # (the worker's first draw sleeps for 120 s) too
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    exits = how in ("normal", "exit3", "raise")
+    with subprocess.Popen([sys.executable, "-c", _LEAVER, how], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env, text=True) as proc:
+        pids = [int(p) for p in proc.stdout.readline().split()]
+        if not exits:
+            proc.kill()
+        code = proc.wait(timeout=60)
+        rest = proc.stdout.read()
+    assert code == {"normal": 0, "exit3": 3, "raise": 1}.get(how, -signal.SIGKILL)
+    assert len(pids) == 1
+    if exits:  # reaped before the process ended
+        assert rest == "reaped\n"
+        assert all(map(_gone, pids))
+    deadline = time.monotonic() + 30
+    while not all(map(_gone, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert all(map(_gone, pids))
 
 
 def test_order_stat_two_triangles():
