@@ -703,7 +703,7 @@ def _split_call(name, seed=4):
 
 
 def _serial(monkeypatch, name, seed=4):
-    """The bytes of _split_call run on one CPU, then two CPUs again."""
+    """The bytes of _split_call on one CPU; two CPUs are set on return."""
     _cpus(monkeypatch, 1)
     want = _split_call(name, seed).tobytes()
     assert simulate.sampling_processes() == 1
