@@ -28,12 +28,12 @@ from .duplication import (
     select_k_set_noisy,
 )
 from .errors import DomainError, DupkitError, NonFiniteResult, ParseError
-from .examples import example_lbhr, example_n3, min_ratio_two_triangles
+from .examples import MIN_GRID_STEPS, example_lbhr, example_n3, min_ratio_two_triangles
 from .exante import solve_exante
 from .verify import BUDGETS, verify_all
 
-# Largest --grid-steps: min_ratio_two_triangles holds six (N-1) x N float
-# arrays at once, 48 N^2 bytes, so 4,000 steps take 768 MB.
+# Largest --grid-steps, kept as input validation: min_ratio_two_triangles
+# builds one row of N steps, so memory does not bound it.
 MAX_GRID_STEPS = 4_000
 
 
@@ -94,16 +94,15 @@ def _load_config(path: str) -> cfg.ExperimentConfig:
 
 
 def _samples_flag(args):
-    """--samples, refused above cfg.MAX_SAMPLES before anything is drawn."""
-    if args.samples is not None and args.samples > cfg.MAX_SAMPLES:
-        raise ParseError(f"--samples must be at most {cfg.MAX_SAMPLES}, got {args.samples}")
-    return args.samples
+    """--samples, refused outside [1, cfg.MAX_SAMPLES] before anything is solved or drawn."""
+    return None if args.samples is None else cfg.check_samples(args.samples, "--samples")
 
 
 def _grid_steps_flag(args) -> int:
-    """--grid-steps, refused above MAX_GRID_STEPS before anything is allocated."""
-    if args.grid_steps > MAX_GRID_STEPS:
-        raise ParseError(f"--grid-steps must be at most {MAX_GRID_STEPS}, got {args.grid_steps}")
+    """--grid-steps, refused outside [MIN_GRID_STEPS, MAX_GRID_STEPS] before any grid is built."""
+    if not MIN_GRID_STEPS <= args.grid_steps <= MAX_GRID_STEPS:
+        raise ParseError(f"--grid-steps: must be in [{MIN_GRID_STEPS}, {MAX_GRID_STEPS}], "
+                         f"got {args.grid_steps}")
     return args.grid_steps
 
 

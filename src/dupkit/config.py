@@ -107,6 +107,13 @@ class ExperimentConfig:
     raw: dict
 
 
+def check_samples(n_samples: int, name: str) -> int:
+    """n_samples, refused as name unless it lies in [1, MAX_SAMPLES]."""
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise ParseError(f"{name}: must be in [1, {MAX_SAMPLES}], got {n_samples}")
+    return n_samples
+
+
 def _fail(field: str, why: str):
     raise ParseError(f"config field {field!r}: {why}")
 
@@ -240,8 +247,7 @@ def parse_config(text: str) -> ExperimentConfig:
     sampling = _object(raw, "sampling")
     n_samples = _int(sampling.get("n_samples", 100_000), "sampling.n_samples")
     seed = _int(sampling.get("seed", 0), "sampling.seed")
-    if not 1 <= n_samples <= MAX_SAMPLES:
-        _fail("sampling.n_samples", f"must be in [1, {MAX_SAMPLES}], got {n_samples}")
+    check_samples(n_samples, "config field 'sampling.n_samples'")
     try:
         estimator = _estimator(sampling.get("estimator", ""), sampled[0])
     except DomainError as exc:

@@ -21,6 +21,9 @@ from .exante import solve_exante
 from .mechanisms import NO_CONSTRAINT
 from .simulate import Estimate, estimate_revenue, mechanism_revenue_quadrature, paired_compare
 
+# Fewest steps min_ratio_two_triangles accepts.
+MIN_GRID_STEPS = 100
+
 
 @dataclass(frozen=True)
 class LbHrReport:
@@ -93,19 +96,20 @@ def min_ratio_two_triangles(grid_steps: int = 1000):
     """Grid minimum of the two-triangle ratio along the worst-case slice.
 
     The slice q2 = 1-q1 makes the ratio depend only on a = R2/R1, where it
-    falls to exactly 3/4 at a = 1.  Returns (min_ratio, {"q1", "alpha"}).
+    falls to exactly 3/4 at a = 1.  The 1-q1 factors cancel, so every row
+    of the (q1, a) grid is the same up to rounding, and only the row
+    q1 = 1/grid_steps is evaluated, in O(grid_steps) memory: the whole
+    grid's first minimum lies in it.  Returns (min_ratio, {"q1", "alpha"}).
     """
-    if grid_steps < 100:
-        raise DomainError(f"grid_steps must be >= 100, got {grid_steps}")
-    q1 = np.arange(1, grid_steps) / grid_steps  # (0,1) open: q2 = 1-q1 > 0
+    if grid_steps < MIN_GRID_STEPS:
+        raise DomainError(f"grid_steps must be >= {MIN_GRID_STEPS}, got {grid_steps}")
+    q1 = 1 / grid_steps
     a = np.arange(1, grid_steps + 1) / grid_steps  # (0,1] includes a = 1
-    q1g, ag = np.meshgrid(q1, a, indexing="ij")
-    one_minus = 1.0 - q1g
-    s = ag * one_minus / (one_minus + one_minus * ag)
-    ratio = (1.0 + ag * s) / (1.0 + ag)
-    flat = np.argmin(ratio)
-    i, j = np.unravel_index(flat, ratio.shape)
-    return float(ratio[i, j]), {"q1": float(q1[i]), "alpha": float(a[j])}
+    one_minus = 1.0 - q1
+    s = a * one_minus / (one_minus + one_minus * a)
+    ratio = (1.0 + a * s) / (1.0 + a)
+    j = np.argmin(ratio)
+    return float(ratio[j]), {"q1": q1, "alpha": float(a[j])}
 
 
 def spa_flat_check(curve_pair, n_samples: int, seed: int) -> bool:

@@ -242,31 +242,25 @@ def _segments(t: cv.CurveTable, q: np.ndarray) -> np.ndarray | None:
 
 
 def _values(curve: cv.RevenueCurve, q: np.ndarray, seg, out: np.ndarray,
-            gathered: np.ndarray | None = None) -> np.ndarray:
-    """Values at quantiles q >= EPS_MIN whose segments are seg = _segments(table, q).
+            gathered: np.ndarray) -> np.ndarray:
+    """Values of a curve that draws (_draws) at quantiles q >= EPS_MIN, seg = _segments(table, q).
 
     As in curves.value: scale*(1-q)/q on an unbounded tail, and on a bounded
-    curve slopes[0] exactly on the first segment (all of a one-segment
-    curve, filled as a constant) and (rs[j] + slopes[j]*(q - qs[j])) / q on
-    segment j >= 1.  The expression keeps this order: Rev(q)/q is not folded
-    into a per-segment value, which would change the last bit.  It runs on
-    every draw, with segment 1's constants as scalars when the curve has
-    one interior cut, else with rows gathered by seg (``gathered``, a row
-    like q, is scratch for them when given); first-segment draws then take
-    slopes[0] by a bit select, branch-free where a masked copy pays a
-    branch per element.
+    curve slopes[0] exactly on the first segment and
+    (rs[j] + slopes[j]*(q - qs[j])) / q on segment j >= 1.  The expression
+    keeps this order: Rev(q)/q is not folded into a per-segment value, which
+    would change the last bit.  It runs on every draw, with segment 1's
+    constants as scalars when the curve has one interior cut, else with rows
+    gathered by seg into ``gathered``, a scratch row like q; first-segment
+    draws then take slopes[0] by a bit select, branch-free where a masked
+    copy pays a branch per element.
     """
     if curve.scale:
         np.subtract(1.0, q, out=out)
         np.multiply(curve.scale, out, out=out)
         return np.divide(out, q, out=out)
     t = curve.table
-    if seg is None:
-        out.fill(t.ceiling)
-        return out
     one_cut = len(t.cuts) == 1
-    if not one_cut and gathered is None:
-        gathered = np.empty_like(q)
 
     def at_seg(arr, buf):
         # seg is in range; mode="clip" only skips take's buffered bounds check
@@ -397,7 +391,8 @@ def _value_row(rows, seed: int, i: int, curve: cv.RevenueCurve, lo: int, hi: int
     """
     t, m = curve.table, hi - lo
     if not _draws(curve):
-        return _values(curve, None, None, v[:m]), None
+        v[:m].fill(t.ceiling)
+        return v[:m], None
     mix = scratch[1, :m].view(np.uint64)
     if rows is None:
         u, out = uniforms(seed, i, lo, hi, out=scratch[0, :m], scratch=mix), v[:m]

@@ -22,3 +22,20 @@ def test_criterion(number, capsys):
         print(line, flush=True)
     assert res.passed, line
     assert res.elapsed < verify.BUDGETS[number], line
+
+
+def test_criterion_5_samples_each_plan_once(monkeypatch):
+    # 5 instances of 2-6 bidders: one estimate per candidate plan of the
+    # single, kfree and kcon families, plus one each for vcg2 and hr; the
+    # winning single duplicate is not sampled again
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    estimate = verify.estimate_revenue
+    monkeypatch.setattr(verify, "estimate_revenue", counted)
+    res = verify.criterion_5(0, n_instances=5, n_samples=2_000)
+    assert res.passed, res.detail
+    assert len(calls) == 76

@@ -471,21 +471,28 @@ def test_cli_rejects_flags_nothing_reads(capsys, command, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", [cfg.MAX_SAMPLES + 1, 0, -1])
 @pytest.mark.parametrize("argv", [["simulate", "--config"], ["examples", "n3"]])
-def test_cli_samples_flag_above_maximum_is_parse_error(tmp_path, capsys, argv):
+def test_cli_samples_flag_out_of_range_is_parse_error(tmp_path, capsys, monkeypatch, argv,
+                                                      samples):
+    # refused before anything is solved or drawn
+    monkeypatch.setattr(cfg, "solve_exante", None)
+    monkeypatch.setattr(cli, "example_n3", None)
     if argv[0] == "simulate":
         argv = [*argv, write_config(tmp_path, BASE)]
-    assert main([*argv, "--samples", str(cfg.MAX_SAMPLES + 1)]) == 2
+    assert main([*argv, "--samples", str(samples)]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ParseError" and "--samples" in err["detail"]
-    assert cfg.parse_config(json.dumps({**BASE, "sampling": {"n_samples": cfg.MAX_SAMPLES}}))
+    assert err["error"] == "ParseError" and err["detail"].startswith("--samples: ")
+    for n in (1, cfg.MAX_SAMPLES):
+        assert cfg.parse_config(json.dumps({**BASE, "sampling": {"n_samples": n}}))
 
 
-def test_cli_grid_steps_above_maximum_is_parse_error(capsys, monkeypatch):
+@pytest.mark.parametrize("steps", [cli.MAX_GRID_STEPS + 1, 99, 0, -1])
+def test_cli_grid_steps_out_of_range_is_parse_error(capsys, monkeypatch, steps):
     monkeypatch.setattr(cli, "min_ratio_two_triangles", None)  # refused before any grid is built
-    assert main(["examples", "two-triangles", "--grid-steps", str(cli.MAX_GRID_STEPS + 1)]) == 2
+    assert main(["examples", "two-triangles", "--grid-steps", str(steps)]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ParseError" and "--grid-steps" in err["detail"]
+    assert err["error"] == "ParseError" and err["detail"].startswith("--grid-steps: ")
 
 
 def test_cli_never_writes_nonfinite_json(tmp_path):
@@ -569,8 +576,10 @@ def test_cli_examples_n3_reads_seed_zero_and_samples_zero(capsys):
     payload = json.loads(capsys.readouterr().out)
     _, est = example_n3(2000, 0)
     assert (payload["spa_six_bidder_mean"], payload["stderr"]) == (est.mean, est.stderr)
+    # 0 is read as a count, not as an absent flag, and refused by name
     assert main(["examples", "n3", "--seed", "0", "--samples", "0"]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError" and err["detail"].startswith("--samples: ")
 
 
 def test_cli_csv_format(tmp_path, capsys):

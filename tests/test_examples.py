@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dupkit import curves as cv
@@ -72,6 +73,25 @@ def test_min_ratio_grid():
     assert arg["alpha"] == 1.0
     with pytest.raises(DomainError):
         min_ratio_two_triangles(99)
+
+
+def _min_ratio_full_grid(grid_steps):
+    # the whole (N-1) x N grid of the slice, q1 in (0, 1) by a in (0, 1]
+    q1 = np.arange(1, grid_steps) / grid_steps
+    a = np.arange(1, grid_steps + 1) / grid_steps
+    q1g, ag = np.meshgrid(q1, a, indexing="ij")
+    one_minus = 1.0 - q1g
+    s = ag * one_minus / (one_minus + one_minus * ag)
+    ratio = (1.0 + ag * s) / (1.0 + ag)
+    i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
+    return float(ratio[i, j]), {"q1": float(q1[i]), "alpha": float(a[j])}
+
+
+@pytest.mark.parametrize("grid_steps", [100, 101, 200, 999, 1000, 1234])
+def test_min_ratio_row_is_the_full_grid_minimum(grid_steps):
+    got = min_ratio_two_triangles(grid_steps)
+    assert repr(got) == repr(_min_ratio_full_grid(grid_steps))
+    assert got[1]["q1"] == 1 / grid_steps
 
 
 def test_n3_certified_gap():

@@ -738,6 +738,26 @@ def test_split_call_gives_the_serial_bytes(monkeypatch, name):
     _no_children()
 
 
+def test_a_worker_buffer_grows_for_a_large_range_and_shrinks_after(monkeypatch):
+    # with 1 MiB kept, a _SPLIT_DRAWS call's worker range (2^17 + 5,000
+    # draws) grows the shared buffer past it, and a 2^17-draw call's range
+    # (2^16 draws, 0.5 MiB) shrinks it back
+    monkeypatch.setattr(simulate, "_BUFFER_KEEP", 1 << 20)
+    small = 1 << 17
+    _cpus(monkeypatch, 1)
+    want = [_split_call("spa", 5).tobytes(),
+            sample_revenues(_SPLIT_PROFILE, NO_CONSTRAINT, "spa", small, 6).tobytes()]
+    _cpus(monkeypatch, 2)
+    assert _split_call("spa", 5).tobytes() == want[0]
+    assert simulate.sampling_processes() == 2
+    [worker] = simulate._WORKERS
+    assert os.fstat(worker.fd).st_size == worker.size == 8 * (_SPLIT_DRAWS - small) > 1 << 20
+    assert sample_revenues(_SPLIT_PROFILE, NO_CONSTRAINT, "spa", small, 6).tobytes() == want[1]
+    assert simulate.sampling_processes() == 2
+    assert os.fstat(worker.fd).st_size == worker.size == 1 << 20
+    _no_children()
+
+
 # P = min(CPUs, W // _SPLIT_BYTES, chunks // 2) processes, W being the
 # bytes of the rows that draw uniforms (point masses draw none); three such
 # calls fork P - 1 workers in all
