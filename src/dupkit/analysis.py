@@ -67,8 +67,9 @@ def poisson_binomial_rows(probs) -> np.ndarray:
     Row i equals poisson_binomial(probs[i]).pmf bit for bit: each step sets
     element s to pmf[s-1]*p + pmf[s]*(1-p), the scalar convolution's
     products and sum, for all rows at once.  The array is worked on
-    transposed, one contiguous row per bidder, and at full width: the
-    entries past the current count are zeros, which add exactly 0.0.
+    transposed, one contiguous row per bidder.  Step i touches only
+    elements 0..i+1, the length of the scalar pmf after it; the elements
+    past them are zeros that no step has to add.
     """
     p = np.asarray(probs, dtype=float)
     if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both
@@ -79,11 +80,11 @@ def poisson_binomial_rows(probs) -> np.ndarray:
     pmf = np.zeros((n + 1, m))
     pmf[0] = 1.0
     up = np.empty((n, m))
-    below, above = pmf[:-1], pmf[1:]
     for i in range(n):
-        np.multiply(below, p[i], out=up)
-        np.multiply(pmf, stay[i], out=pmf)
-        np.add(above, up, out=above)
+        live, above, add = pmf[: i + 1], pmf[1 : i + 2], up[: i + 1]
+        np.multiply(live, p[i], out=add)
+        np.multiply(live, stay[i], out=live)
+        np.add(above, add, out=above)
     return pmf.T
 
 

@@ -76,6 +76,8 @@ class CurveTable:
         self.seg_dtype = np.min_scalar_type(len(self.cuts))
         # the bits every sampled value depends on, as a row store key
         self.key = np.array([curve.scale, *qs, *rs]).tobytes()
+        # the curve's kink_values, filled in by their first call
+        self.kinks = None
 
 
 @dataclass(frozen=True)
@@ -345,11 +347,13 @@ def kink_values(curve: RevenueCurve) -> tuple[float, ...]:
 
     Between two consecutive kink values q(v) is one value_piece, so
     quadrature cuts its panels here and reads each panel's piece once.
+    They are computed once per curve and kept on its table.
     """
-    if curve.scale:
-        return (curve.scale,)
-    vals = {value(curve, q) for q in curve.table.qs}
-    return tuple(sorted(v for v in vals if v > 0.0))
+    t = curve.table
+    if t.kinks is None:
+        t.kinks = (curve.scale,) if curve.scale else tuple(
+            sorted(v for v in {value(curve, q) for q in t.qs} if v > 0.0))
+    return t.kinks
 
 
 def rev_dominates(a: RevenueCurve, b: RevenueCurve) -> bool:

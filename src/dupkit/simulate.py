@@ -72,7 +72,13 @@ compresses the heavy 1/t^2 tails of unbounded curves.  Each panel runs
 adaptive 7-15 point Gauss-Kronrod; a round evaluates the nodes of every
 pending interval in one analysis.poisson_binomial_rows call, and a cap on
 the number of intervals (_MAX_INTERVALS) bounds a call that cannot reach
-its tolerance.
+its tolerance.  A panel on which fewer than r bidders have a sale
+probability other than 0 has integrand 0.0 and is skipped.  The integrand
+at a node is the math.fsum of its pmf's entries r..; a round sums every
+row at once in long double and keeps a row's sum where an error bound
+proves that the exact sum rounds to the same double, and sends the rest
+to math.fsum (_tail_sums), so every result keeps fsum's bits.  Where long
+double is plain double, every row goes to fsum and only speed changes.
 """
 
 from __future__ import annotations
@@ -160,6 +166,21 @@ _GK_NODES, _GK_KRONROD, _GK_GAUSS = np.hstack(
 # Intervals that halving may make in one quadrature call, over all panels;
 # a call that needs more raises NonConvergence.
 _MAX_INTERVALS = 1000
+
+
+def _long_double_bits() -> int:
+    """Significand bits of a np.longdouble sum: the k at which 1 + 2^-k, a
+    tie, first sums to 1.  53 (no wider than a double) where long double is
+    plain double, or where the probe disagrees with np.finfo, as a
+    double-double long double would."""
+    bits = 53
+    while bits < 113 and np.array([1.0, 2.0**-bits], dtype=np.longdouble).sum() != 1.0:
+        bits += 1
+    return bits if bits == np.finfo(np.longdouble).nmant + 1 else 53
+
+
+# Significand bits of the quadrature's extended-precision tail sums (_tail_sums)
+_SUM_BITS = _long_double_bits()
 
 
 @dataclass(frozen=True)
@@ -668,6 +689,11 @@ def mechanism_names() -> tuple:
     return tuple(sorted(_MECHANISMS))
 
 
+def _is_rank(k) -> bool:
+    """Whether k is an integer >= 1; a bool is not."""
+    return not isinstance(k, bool) and isinstance(k, (int, np.integer)) and k >= 1
+
+
 def _mechanism_fault(mechanism: str, n: int, params: dict):
     """Why sample_revenues refuses mechanism on n bidders with params, as (the
     parameter at fault or None for the mechanism, the reason); None if it runs."""
@@ -678,7 +704,7 @@ def _mechanism_fault(mechanism: str, n: int, params: dict):
             return key, f"{mechanism} reads no parameter {key!r}"
     if mechanism in ("vcg", "vcg_constrained"):
         k = params.get("k")
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        if not _is_rank(k):
             return "k", f"{mechanism} needs an integer k >= 1, got {k!r}"
     if mechanism == "posted":
         prices = params.get("prices")
@@ -1121,6 +1147,35 @@ def paired_compare(
     return _summarize(diff, seed, estimator)
 
 
+def _tail_sums(pmf: np.ndarray, r: int) -> np.ndarray:
+    """math.fsum of each row's entries r.., bit for bit.
+
+    fsum returns the exact sum S rounded to the nearest double.  The
+    entries are >= 0.  A row of one entry is its own sum, and a row of two
+    the double sum of both, rounded once as fsum's is.  Longer rows are
+    summed in long double, of _SUM_BITS significand bits (u =
+    2^-_SUM_BITS): the sum s of L terms >= 0, in any order, is within
+    (L-1)u/(1-(L-1)u) S of S (Higham 2002, section 4.2), so S lies in
+    [s - e, s + e] for e = (L+2)u s, the 2 covering the rounding of e and
+    of s -+ e.  Rounding to nearest is monotone, so where both ends round
+    to one double, S rounds to it too: that is the row's fsum.  The other
+    rows, which straddle or touch a rounding boundary (a few percent),
+    go to fsum, and where long double is plain double every row does.
+    """
+    tail = pmf[:, r:]
+    terms = tail.shape[1]
+    if terms <= 2:
+        return tail.sum(axis=1)
+    if _SUM_BITS <= 53:
+        return np.array([math.fsum(row) for row in tail.tolist()])
+    wide = tail.astype(np.longdouble).sum(axis=1)
+    slack = wide * np.longdouble((terms + 2) * 2.0**-_SUM_BITS)
+    out, high = (wide - slack).astype(float), (wide + slack).astype(float)
+    for i in np.flatnonzero(out != high):
+        out[i] = math.fsum(tail[i].tolist())
+    return out
+
+
 def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) -> float:
     """E[r-th highest value] = integral over t >= 0 of Pr[at least r values >= t] dt.
 
@@ -1139,9 +1194,19 @@ def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) ->
     interval at once; the accepted values are summed left to right, so the
     result does not depend on the rounds.  Raises NonConvergence when
     halving would make more than _MAX_INTERVALS intervals.
+
+    A node's integrand is the fsum of its pmf row's entries r.., taken
+    through _tail_sums: a long double sum kept only where a rigorous error
+    bound shows the exact sum rounds to the same double, else math.fsum, so
+    no bit depends on which path a row took.  Where long double is plain
+    double every row takes fsum.  A panel on which fewer than r bidders'
+    pieces are other than q = 0 has integrand 0.0 at every node and K15
+    value 0.0, which adds nothing, so it is skipped; it still counts in the
+    share of tol.  r is an integer >= 1 (not a bool); anything else raises
+    DomainError.
     """
-    if r < 1:
-        raise DomainError(f"rank must be >= 1, got {r}")
+    if not _is_rank(r):
+        raise DomainError(f"rank r must be an integer >= 1, got {r!r}")
     if not tol > 0.0:
         raise DomainError("tol must be positive")
     if r > profile.n:
@@ -1161,10 +1226,11 @@ def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) ->
     pieces = [[cv.value_piece(curve, m) for curve in curves.values()] for m in mids]
     k, slope, c = np.array(pieces).transpose(2, 0, 1)  # each (panel, curve)
     last = len(ends) - 1
-    # pending intervals: panel, ends and tolerance share
-    p = np.arange(len(ends))
-    a, b = np.array(ends).T
-    share = np.full(len(ends), tol / len(ends))
+    # pending intervals: panel, ends and tolerance share, without the panels
+    # on which fewer than r bidders have a piece other than q = 0
+    p = np.flatnonzero(((k != 0.0) | (slope != -math.inf))[:, cols].sum(axis=1) >= r)
+    a, b = np.array(ends)[p].T
+    share = np.full(p.size, tol / len(ends))
     accepted = []
     made = 0
     while p.size:
@@ -1178,7 +1244,7 @@ def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) ->
         jac[tail] = 1.0 / ((1.0 - s) * (1.0 - s))
         q = k[p, None] + c[p, None] / (t[:, :, None] - slope[p, None])
         pmf = poisson_binomial_rows(q[:, :, cols].reshape(-1, profile.n))
-        f = np.array([math.fsum(row) for row in pmf[:, r:].tolist()]).reshape(t.shape) * jac
+        f = _tail_sums(pmf, r).reshape(t.shape) * jac
         kronrod = half * (f * _GK_KRONROD).sum(axis=1)
         gauss = half * (f * _GK_GAUSS).sum(axis=1)
         done = np.abs(kronrod - gauss) <= share
@@ -1187,7 +1253,7 @@ def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) ->
         made += 2 * int(split.sum())
         if made > _MAX_INTERVALS:
             raise NonConvergence("quadrature failed to reach tolerance")
-        p, share = np.tile(p[split], 2), np.tile(share[split] / 2.0, 2)
+        p, share = np.concatenate([p[split]] * 2), np.concatenate([share[split] / 2.0] * 2)
         a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
     total = 0.0
     for _, _, value in sorted(accepted):
@@ -1199,10 +1265,10 @@ def mechanism_revenue_quadrature(profile: cv.BidderProfile, k: int = 1) -> float
     """Exact expected revenue of the k-item uniform-price auction.
 
     Every winner pays the (k+1)-st highest value, so revenue is k times
-    that order statistic's mean.
+    that order statistic's mean.  k is an integer >= 1 (not a bool).
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    if not _is_rank(k):
+        raise DomainError(f"k must be an integer >= 1, got {k!r}")
     if profile.n < k + 1:
         raise DomainError(f"need at least k+1={k + 1} bidders, got {profile.n}")
     return k * expected_order_stat(profile, k + 1)

@@ -39,17 +39,36 @@ def test_poisson_binomial_matches_enumeration(probs):
     assert list(pb.pmf) == pytest.approx(brute_pmf(probs), abs=1e-12)
 
 
-_prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+# exact 0 and 1, subnormals, and probabilities a subnormal away from 0 and 1
+_EDGES = [0.0, 1.0, 2.0**-1074, 2.0**-1022 / 3, 2.0**-1022, 1.0 - 2.0**-53]
+_prob = st.one_of(st.sampled_from(_EDGES), st.floats(min_value=0.0, max_value=1.0))
+
+
+def _assert_rows_match_scalar(rows):
+    got = analysis.poisson_binomial_rows(np.array(rows))
+    assert got.shape == (len(rows), len(rows[0]) + 1)
+    for probs, pmf in zip(rows, got):
+        assert np.array(analysis.poisson_binomial(probs).pmf).tobytes() == pmf.tobytes()
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 24).flatmap(
     lambda n: st.lists(st.lists(_prob, min_size=n, max_size=n), min_size=1, max_size=8)))
 def test_poisson_binomial_rows_match_scalar(rows):
-    got = analysis.poisson_binomial_rows(np.array(rows))
-    assert got.shape == (len(rows), len(rows[0]) + 1)
-    for probs, pmf in zip(rows, got):
-        assert np.array(analysis.poisson_binomial(probs).pmf).tobytes() == pmf.tobytes()
+    _assert_rows_match_scalar(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_poisson_binomial_rows_match_scalar_at_every_width(n):
+    # each step touches only the elements the scalar pmf has so far; rows
+    # of edge probabilities in every position, and runs of 0, 1 and
+    # subnormals, pin that at every width
+    rng = np.random.default_rng(n)
+    rows = [rng.choice(_EDGES, n).tolist() for _ in range(12)]
+    rows += [rng.random(n).tolist() for _ in range(4)]
+    rows += [[edge] * n for edge in _EDGES]
+    rows += [[1.0] * (n // 2) + [2.0**-1074] * (n - n // 2), [0.5] * n]
+    _assert_rows_match_scalar(rows)
 
 
 def test_poisson_binomial_rows_refuse_bad_probabilities():

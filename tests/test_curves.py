@@ -233,6 +233,13 @@ def test_kink_values():
     assert cv.kink_values(cv.make_point_mass(3.0)) == (3.0,)
 
 
+def test_kink_values_are_kept_on_the_table():
+    c = cv.make_piecewise([(0.0, 0.0), (0.2, 0.5), (0.6, 0.7), (1.0, 0.3)])
+    first = cv.kink_values(c)
+    assert c.table.kinks is first and cv.kink_values(c) is first
+    assert first == tuple(sorted({cv.value(c, q) for q in c.table.qs}))
+
+
 # One curve per constructor, plus the triangle that encodes a point mass.
 _QUERY_CURVES = {
     "triangle": cv.make_triangle(0.4, 0.6),

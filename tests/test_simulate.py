@@ -1163,6 +1163,105 @@ def test_quadrature_nonconvergence_is_bounded(monkeypatch):
     assert 0 < sum(evals) < 20_000
 
 
+def test_quadrature_skips_panels_where_fewer_than_r_can_buy(monkeypatch):
+    # above the point mass at 1 only the triangle can buy, so with r = 2 the
+    # panels [1, 8] and [8, inf) are never evaluated
+    probs = []
+    rows = simulate.poisson_binomial_rows
+    monkeypatch.setattr(simulate, "poisson_binomial_rows",
+                        lambda p: probs.append(p.copy()) or rows(p))
+    prof = cv.make_profile([cv.make_point_mass(1.0), cv.make_triangle(0.25, 2.0)])
+    assert expected_order_stat(prof, 2) > 0.0
+    assert np.concatenate(probs)[:, 0].min() == 1.0
+
+
+def test_quadrature_golden_digest_with_every_row_through_fsum(monkeypatch):
+    # a probe that finds no precision beyond double sends every tail to math.fsum
+    monkeypatch.setattr(simulate, "_SUM_BITS", 53)
+    test_quadrature_golden_digest()
+
+
+# The share of the digest's node rows whose long double tail sum cannot be
+# certified and goes to math.fsum: 2.3% (256 of 11,370 rows) with x87's
+# 64-bit long double.  A probe that reported fewer bits would widen every
+# row's error bound (62 bits send 5.6% of the rows, 60 bits 20%), and one
+# that found none would send all of them.  One that reported more bits than
+# the sums have fails the adversarial rows below.
+_FSUM_SHARE_BOUND = 0.05
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                    reason="long double is plain double: every row goes to math.fsum")
+def test_quadrature_tail_sums_rarely_fall_back_to_fsum(monkeypatch):
+    rows, fsums = [], []
+    pb_rows, fsum = simulate.poisson_binomial_rows, math.fsum
+    monkeypatch.setattr(simulate, "poisson_binomial_rows",
+                        lambda probs: rows.append(len(probs)) or pb_rows(probs))
+    monkeypatch.setattr(math, "fsum", lambda xs: fsums.append(1) or fsum(xs))
+    for prof, r, tol in _quadrature_calls():
+        try:
+            expected_order_stat(prof, r, tol)
+        except UnboundedExpectation:
+            pass
+    assert sum(rows) > 10_000
+    assert 0 < len(fsums) < _FSUM_SHARE_BOUND * sum(rows)
+
+
+_TINY = 2.0**-1074  # the smallest subnormal
+_TAIL_ROWS = [
+    [1.0, 2.0**-53],  # an exact tie, rounded to even
+    [1.0 + 2.0**-52, 2.0**-53],  # a tie rounded up
+    [1.0, 2.0**-53, 0.0],
+    [0.5, 0.5, 2.0**-53],
+    [1.0, 2.0**-53, 2.0**-80],  # a near tie: long double rounds it onto the tie
+    [1.0, 2.0**-53, 2.0**-80, 0.0, 0.0],
+    [1.0 - 2.0**-53, 2.0**-54, 2.0**-54, 2.0**-90],
+    [_TINY, _TINY, _TINY],
+    [2.0**-1022, _TINY, 3 * _TINY, 2.0**-1030],
+    [2.0**-1022 - _TINY, _TINY, 0.0],
+    [0.0],
+    [0.0, 0.0],
+    [0.0] * 24,
+    [_TINY],
+    [0.3],
+    [0.1, 0.2],
+    [_TINY, 2.0**-1022],
+    list(np.logspace(-300, 0, 24)),
+    list(np.logspace(0, -300, 24)),
+    [0.1] * 10,
+    [1.0 / 3.0] * 3 + [2.0**-60] * 21,
+]
+
+
+@pytest.mark.parametrize("row", _TAIL_ROWS, ids=range(len(_TAIL_ROWS)))
+@pytest.mark.parametrize("bits", [None, 53])
+def test_tail_sums_match_fsum_on_adversarial_rows(monkeypatch, row, bits):
+    if bits:
+        monkeypatch.setattr(simulate, "_SUM_BITS", bits)
+    want = np.array([math.fsum(row)] * 2)
+    for r in (0, 1, 3):  # the tail starts at entry r; the entries before it are ignored
+        assert simulate._tail_sums(np.array([[0.7] * r + row] * 2), r).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, _TINY, 2.0**-53])),
+                min_size=1, max_size=25))
+def test_tail_sums_match_fsum(row):
+    got = simulate._tail_sums(np.array([row, row[::-1]]), 0)
+    assert got.tobytes() == np.array([math.fsum(row), math.fsum(row[::-1])]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, False, "2", None, 0, -1])
+def test_quadrature_refuses_bad_ranks(bad):
+    prof = cv.make_profile([cv.make_triangle(0.5, 0.5)] * 4)
+    with pytest.raises(DomainError, match=r"\br\b"):
+        expected_order_stat(prof, bad)
+    with pytest.raises(DomainError, match=r"\bk\b"):
+        mechanism_revenue_quadrature(prof, bad)
+    assert expected_order_stat(prof, np.int64(2)) == expected_order_stat(prof, 2)
+    assert mechanism_revenue_quadrature(prof, np.int64(1)) == mechanism_revenue_quadrature(prof, 1)
+
+
 def test_quadrature_matches_mc():
     rng = random.Random(31)
     for trial in range(4):
