@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves as cv
-from .errors import DomainError, HypothesisViolated, LemmaViolation
+from .errors import DomainError, HypothesisViolated, LemmaViolation, check_rank
 from .exante import ExAnteSolution
 
 _SLACK = 1e-12
@@ -155,8 +155,10 @@ def classify_k(
     bidders that clear theta both at their ex ante quantile and at beta are
     at most k and their revenue at adjusted quantiles reaches delta*opt.
     Case 2: at least k bidders clear theta at beta.  Case 3: at least k+1
-    of all n clear theta with probability >= 1/2, exactly.
+    of all n clear theta with probability >= 1/2, exactly.  k must pass
+    errors.check_rank, and k = 1 raises HypothesisViolated.
     """
+    check_rank("k", k)
     if k < 2:
         raise HypothesisViolated(f"classifier needs k >= 2, got {k}")
     _check_k_hyp(beta, gamma, delta)

@@ -261,7 +261,8 @@ def _cmd_verify(args) -> int:
         except ValueError:
             only = set()
         if not only or not only <= set(BUDGETS):
-            raise ParseError(f"--only must list criterion numbers 1..9, got {args.only!r}")
+            raise ParseError(f"--only must list criterion numbers 1..{len(BUDGETS)}, "
+                             f"got {args.only!r}")
     code, results, summary = verify_all(args.seed or 0, only)
     for res in results:
         print(f"criterion {res.number} took {res.elapsed:.1f}s "

@@ -53,9 +53,9 @@ from .simulate import (
     sampling_processes,
 )
 
-# Largest draw count a config or --samples may ask for.  The revenue array
-# is held whole, 8 bytes a draw, so this many draws take 800 MB.
-MAX_SAMPLES = 100_000_000
+# Fewest and most draws a config or --samples may ask for.  One draw has no
+# error bar (stderr 0.0), and the revenue array is held whole, 8 bytes a draw.
+MIN_SAMPLES, MAX_SAMPLES = 2, 100_000_000
 # Most clones a k_copies_of plan may ask for: each clone adds a bidder row
 # to every chunk a call samples.
 MAX_COPIES = 1_000
@@ -108,9 +108,9 @@ class ExperimentConfig:
 
 
 def check_samples(n_samples: int, name: str) -> int:
-    """n_samples, refused as name unless it lies in [1, MAX_SAMPLES]."""
-    if not 1 <= n_samples <= MAX_SAMPLES:
-        raise ParseError(f"{name}: must be in [1, {MAX_SAMPLES}], got {n_samples}")
+    """n_samples, refused as name unless it lies in [MIN_SAMPLES, MAX_SAMPLES]."""
+    if not MIN_SAMPLES <= n_samples <= MAX_SAMPLES:
+        raise ParseError(f"{name}: must be in [{MIN_SAMPLES}, {MAX_SAMPLES}], got {n_samples}")
     return n_samples
 
 

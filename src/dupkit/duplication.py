@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import curves as cv
-from .errors import DomainError
+from .errors import DomainError, check_rank
 from .mechanisms import PairConstraint
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ def single_of(i: int) -> DuplicatePlan:
 
 
 def k_copies_of(i: int, k: int) -> DuplicatePlan:
-    if k < 1:
-        raise DomainError(f"need k >= 1 copies, got {k}")
+    check_rank("k", k)
     return DuplicatePlan((i,) * k)
 
 
@@ -97,7 +96,8 @@ def select_by_sample(samples) -> int:
 def select_k_set_noisy(noisy_revs, k: int) -> frozenset:
     """Top-k bidders by reported revenue."""
     reports = [float(r) for r, _ in noisy_revs]
-    if not 1 <= k <= len(reports):
+    check_rank("k", k)
+    if k > len(reports):
         raise DomainError(f"k={k} out of range for {len(reports)} reports")
     order = sorted(range(len(reports)), key=lambda i: (-reports[i], i))
     return frozenset(order[:k])

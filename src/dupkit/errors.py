@@ -4,6 +4,8 @@ Each class carries the exit code the command line returns for it: 2 for a
 bad config or invocation, 1 where a checked bound or certified claim failed.
 """
 
+import numpy as np
+
 
 class DupkitError(Exception):
     """Base class for all package-specific errors."""
@@ -57,3 +59,14 @@ class ParseError(DupkitError, ValueError):
 
 class NonFiniteResult(DupkitError, ValueError):
     """A result bound for JSON output is not finite; message names its field."""
+
+
+def is_rank(value) -> bool:
+    """Whether value is a count (k, r, n, n_samples): an integer >= 1, not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
+
+
+def check_rank(name: str, value) -> None:
+    """Refuse a count argument that is not is_rank, naming it."""
+    if not is_rank(value):
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")

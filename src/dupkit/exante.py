@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import curves as cv
-from .errors import DomainError, NonConvergence
+from .errors import NonConvergence, check_rank
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ def _positive_segments(curve: cv.RevenueCurve, index: int):
 
 def solve_exante(profile: cv.BidderProfile, k: int = 1) -> ExAnteSolution:
     """Exact optimum of the ex ante program with k items."""
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
+    check_rank("k", k)
 
     peaks = []
     for c in profile.curves:

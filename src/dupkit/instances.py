@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from . import curves as cv
-from .errors import DomainError
+from .errors import check_rank
 
 
 def random_triangle(rng: random.Random) -> cv.RevenueCurve:
@@ -18,8 +18,7 @@ def random_profile(n: int, rng: random.Random, allow_unbounded: bool = True) -> 
     Triangles span the worst cases (every concave curve revenue-dominates
     its inscribed triangle), and the ER mix exercises heavy tails.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1 bidders, got {n}")
+    check_rank("n", n)
     curves = []
     for _ in range(n):
         if allow_unbounded and rng.random() < 0.2:

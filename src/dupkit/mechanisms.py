@@ -12,7 +12,7 @@ import numbers
 from dataclasses import dataclass
 
 from . import curves as cv
-from .errors import DomainError, ProfileMismatch
+from .errors import DomainError, ProfileMismatch, check_rank
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ def run_spa(bids) -> AuctionOutcome:
 def run_vcg_k(bids, k: int) -> AuctionOutcome:
     """k identical items, top k bids win, all pay the (k+1)-st bid."""
     bids = _check_bids(bids)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    check_rank("k", k)
     order = sorted(range(len(bids)), key=lambda i: (-bids[i], i))
     winners = sorted(order[:k])
     price = bids[order[k]] if len(bids) > k else 0.0
@@ -107,8 +106,7 @@ def run_vcg_constrained(bids, k: int, constraint: PairConstraint) -> AuctionOutc
     welfare others get without it minus the welfare others get with it.
     """
     bids = _check_bids(bids)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    check_rank("k", k)
     partner = constraint.partner(len(bids))
     chosen = _greedy_matroid(bids, k, partner)
     w_star = math.fsum(bids[i] for i in chosen)

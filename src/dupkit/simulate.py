@@ -44,19 +44,13 @@ block per thread, which is reused across calls (_scratch), as are the
 work rows of _top and vcg_constrained.
 
 Such a call runs in its caller's thread too, unless it is large enough
-to split across processes (_processes): on Linux, with no other Python
-thread alive (fork copies only the calling thread), it takes
-P = min(CPUs, W // _SPLIT_BYTES, chunks // 2) processes when that is at
-least 2, W being the bytes of the value rows it draws uniforms for.  Its
-chunk list is cut into P contiguous ranges; the caller fills the first
-and a worker each other one (_split).  Workers are forked by the first
-call that needs them and kept until the process exits (_Worker): each
-call hands a worker its range down a pipe, and the worker fills it into
-a buffer it shares with the caller, who copies it over.  A row is a pure
-function of its counters, so a split call returns the serial bits.
-Threads cannot share this work: each numpy call on a chunk hands the
-interpreter lock over, and two threads ran at 0.53-0.82 times the speed
-of one.
+to split across processes (_processes).  Its chunk list is then cut into
+contiguous ranges; the caller fills the first, and a worker process kept
+for the life of the process each other one (_split, _Worker), from the
+call's own fill.  A row is a pure function of its counters, so a split
+call returns the serial bits.  Threads cannot share this work: each numpy
+call on a chunk hands the interpreter lock over, and two threads ran at
+0.53-0.82 times the speed of one.
 
 The store is exact: a key covers every input of its row, so a stored row
 holds the bits the same request would compute, and since every kernel
@@ -105,6 +99,8 @@ from .errors import (
     NonConvergence,
     ProfileMismatch,
     UnboundedExpectation,
+    check_rank,
+    is_rank,
 )
 from .mechanisms import NO_CONSTRAINT, PairConstraint, _price_ok
 
@@ -185,6 +181,8 @@ _SUM_BITS = _long_double_bits()
 
 @dataclass(frozen=True)
 class Estimate:
+    """A Monte Carlo summary; stderr is 0.0 from one draw (or one block): no error bar."""
+
     mean: float
     stderr: float
     n_samples: int
@@ -689,11 +687,6 @@ def mechanism_names() -> tuple:
     return tuple(sorted(_MECHANISMS))
 
 
-def _is_rank(k) -> bool:
-    """Whether k is an integer >= 1; a bool is not."""
-    return not isinstance(k, bool) and isinstance(k, (int, np.integer)) and k >= 1
-
-
 def _mechanism_fault(mechanism: str, n: int, params: dict):
     """Why sample_revenues refuses mechanism on n bidders with params, as (the
     parameter at fault or None for the mechanism, the reason); None if it runs."""
@@ -704,7 +697,7 @@ def _mechanism_fault(mechanism: str, n: int, params: dict):
             return key, f"{mechanism} reads no parameter {key!r}"
     if mechanism in ("vcg", "vcg_constrained"):
         k = params.get("k")
-        if not _is_rank(k):
+        if not is_rank(k):
             return "k", f"{mechanism} needs an integer k >= 1, got {k!r}"
     if mechanism == "posted":
         prices = params.get("prices")
@@ -731,14 +724,12 @@ def _processes(draw_bytes: int, chunks: int) -> int:
 class _Worker:
     """A forked process that fills chunk ranges of split calls (_split).
 
-    The caller writes each job, pickled, to the pipe `jobs`.  The worker
-    fills the job's range into its buffer, the anonymous file `fd`
-    (os.memfd_create) that both processes map shared, and answers on the
-    pipe `done` with one byte: 0 when it filled the range, 1 when its fill
-    raised.  EOF on `done` means the worker is gone.  A worker serves until
-    its process exits: _stop_workers closes `jobs` at exit, and the worker
-    leaves on that EOF; if the process dies first, the kernel kills the
-    worker (PR_SET_PDEATHSIG, set in _serve).
+    The caller pickles each job, a call's fill and its range, down the pipe
+    `jobs`.  The worker runs the fill over the range into its buffer, the
+    anonymous file `fd` (os.memfd_create) that both processes map shared,
+    and answers on the pipe `done` with one byte: 0 when it filled the
+    range, 1 when its fill raised.  EOF on `done` means the worker is gone.
+    A worker serves until its process exits (_serve, _stop_workers).
     """
 
     def __init__(self, pid: int, jobs: int, done: int, fd: int):
@@ -832,15 +823,13 @@ def _serve(jobs: int, done: int, fd: int, parent: int, callers: tuple) -> None:
         reader, size, view = os.fdopen(jobs, "rb"), 0, None
         while os.getppid() == parent:
             try:
-                runs, mechanism, n_samples, seed, params, a, b, nbytes = pickle.load(reader)
+                fill, part, nbytes = pickle.load(reader)
             except EOFError:
                 break
             if nbytes != size:
                 size, view = nbytes, np.frombuffer(mmap.mmap(fd, nbytes))
             answer = b"\1"
             try:
-                part = _spans(n_samples)[a:b]
-                fill = _filler(runs, mechanism, seed, params, *_rows_read(runs, mechanism), None)
                 fill(part, view, part[0][0])
                 answer = b"\0"
             except Exception:  # the caller refills the range, and raises it there
@@ -883,18 +872,19 @@ if hasattr(os, "register_at_fork"):
 atexit.register(_stop_workers)
 
 
-def _split(job: tuple, fill, spans, processes: int, out: np.ndarray) -> int:
+def _split(fill, spans, processes: int, out: np.ndarray) -> int:
     """fill(part, dest, base) over the chunks spans, cut into `processes`
     contiguous ranges: the caller fills the first straight into out and a
     worker each other one, which the caller then copies over.  Returns how
     many processes filled a range.
 
-    job is (runs, mechanism, n_samples, seed, params), from which a worker
-    builds the caller's fill.  Missing workers are forked first.  A range
-    whose worker cannot be forked, is gone or answers 1 is filled by the
-    caller, to the same bits, and that worker is reaped, so the next call
-    forks a fresh one.  If the caller raises (KeyboardInterrupt included),
-    every worker that has not answered is killed and reaped.
+    fill must pickle (a module-level function, or a functools.partial of
+    one), as each worker gets it with its range.  Missing workers are
+    forked first.  A range whose worker cannot be forked, is gone or
+    answers 1 is filled by the caller, to the same bits, and that worker
+    is reaped, so the next call forks a fresh one.  If the caller raises
+    (KeyboardInterrupt included), every worker that has not answered is
+    killed and reaped.
     """
     cuts = [len(spans) * p // processes for p in range(processes + 1)]
     ranges = list(zip(cuts, cuts[1:]))
@@ -905,7 +895,7 @@ def _split(job: tuple, fill, spans, processes: int, out: np.ndarray) -> int:
     mine, sent = [ranges[0], *ranges[1 + len(workers):]], []
     try:
         for worker, (a, b) in zip(workers, ranges[1:]):
-            if worker.send((*job, a, b), 8 * (spans[b - 1][1] - spans[a][0])):
+            if worker.send((fill, spans[a:b]), 8 * (spans[b - 1][1] - spans[a][0])):
                 sent.append((worker, (a, b)))
             else:
                 _retire(worker)
@@ -958,33 +948,29 @@ def _spans(n_samples: int) -> list:
     return list(zip(starts, [*starts[1:], n_samples]))
 
 
-def _filler(runs, mechanism: str, seed: int, params, drawn, picks, rows):
-    """fill(part, dest, base): per-draw revenue of runs[0], less that of
-    runs[1] when given, over the chunk spans part, into dest[lo - base :
-    hi - base] for each span [lo, hi); (drawn, picks) is _rows_read(runs,
-    mechanism), and rows the row store or None."""
+def _fill(runs, mechanism: str, seed: int, params, rows, part, dest, base):
+    """Per-draw revenue of runs[0], less that of runs[1] when given, over the
+    chunk spans part, into dest[lo - base : hi - base] for each span [lo,
+    hi); rows is the row store or None.  A call binds its first five
+    arguments (functools.partial) into the fill that it and _split run."""
+    drawn, picks = _rows_read(runs, mechanism)
     kernel = _MECHANISMS[mechanism]
     unread = (None, None)
-
-    def fill(part, dest, base):
-        # one scratch block and one block of value rows per thread,
-        # rewritten chunk by chunk where the row store does not serve a row
-        width = max(hi - lo for lo, hi in part)
-        block = _scratch("revenues", (3 + len(drawn), width), np.float64)
-        scratch, v = block[:3], block[3:]
-        for lo, hi in part:
-            got = [_value_row(rows, seed, i, c, lo, hi, scratch, v[r])
-                   for r, i, c in drawn.values()]
-            revs = [kernel(profile.curves, con,
-                           _Chunk(*zip(*(unread if r is None else got[r] for r in pick)), lo, hi),
-                           params)
-                    for (profile, con), pick in zip(runs, picks)]
-            if len(revs) == 1:
-                dest[lo - base : hi - base] = revs[0]
-            else:
-                np.subtract(*revs, out=dest[lo - base : hi - base])
-
-    return fill
+    # one scratch block and one block of value rows per thread, rewritten
+    # chunk by chunk where the row store does not serve a row
+    width = max(hi - lo for lo, hi in part)
+    block = _scratch("revenues", (3 + len(drawn), width), np.float64)
+    scratch, v = block[:3], block[3:]
+    for lo, hi in part:
+        got = [_value_row(rows, seed, i, c, lo, hi, scratch, v[r]) for r, i, c in drawn.values()]
+        revs = [kernel(profile.curves, con,
+                       _Chunk(*zip(*(unread if r is None else got[r] for r in pick)), lo, hi),
+                       params)
+                for (profile, con), pick in zip(runs, picks)]
+        if len(revs) == 1:
+            dest[lo - base : hi - base] = revs[0]
+        else:
+            np.subtract(*revs, out=dest[lo - base : hi - base])
 
 
 def _revenues(runs, mechanism: str, n_samples: int, seed: int, params) -> np.ndarray:
@@ -999,22 +985,21 @@ def _revenues(runs, mechanism: str, n_samples: int, seed: int, params) -> np.nda
     for profile, _ in runs:
         if fault := _mechanism_fault(mechanism, profile.n, params):
             raise DomainError(fault[1])
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
+    check_rank("n_samples", n_samples)
     runs = [(profile, NO_CONSTRAINT if con is None else con) for profile, con in runs]
-    drawn, picks = _rows_read(runs, mechanism)
+    drawn, _ = _rows_read(runs, mechanism)
     spans = _spans(n_samples)
     rows = _row_store()
     if not rows.admit(seed, len(drawn) * n_samples * 8):
         rows = None
-    fill = _filler(runs, mechanism, seed, params, drawn, picks, rows)
+    fill = functools.partial(_fill, runs, mechanism, seed, params, rows)
     out = np.empty(n_samples)
     draw_bytes = sum(8 * n_samples for _, _, c in drawn.values() if _draws(c))
     processes = 1 if rows is not None else _processes(draw_bytes, len(spans))
     if processes == 1:
         fill(spans, out, 0)
     else:
-        processes = _split((runs, mechanism, n_samples, seed, params), fill, spans, processes, out)
+        processes = _split(fill, spans, processes, out)
     _SCRATCH.processes = processes
     return out
 
@@ -1036,12 +1021,8 @@ def sample_revenues(
 ) -> np.ndarray:
     """Per-sample revenue array; the estimators above are views over this.
 
-    The caller's thread runs every chunk, except that on Linux a large call
-    the row store does not admit is split across CPUs: the caller runs the
-    first contiguous range of chunks, and one worker process per further
-    CPU each other range (_processes, _split).  Workers are forked by the
-    first call that needs them and serve until the process exits; the
-    bits do not depend on the split.  ``workers`` is ignored; only the
+    A large call may be split across processes (see the module docstring);
+    the bits do not depend on the split.  ``workers`` is ignored; only the
     benchmark's stage table passes it.
     """
     return _revenues([(profile, constraint)], mechanism, n_samples, seed, params)
@@ -1081,7 +1062,8 @@ def _median(a: np.ndarray) -> float:
 
 
 def _summarize(rev: np.ndarray, seed: int, estimator: str) -> Estimate:
-    """The Estimate of rev under estimator, one of ESTIMATORS."""
+    """The Estimate of rev under estimator, one of ESTIMATORS; fewer than two
+    draws (or one block) give stderr 0.0, which is no error bar."""
     n = rev.shape[0]
     if estimator == PLAIN:
         mean = float(rev.mean())
@@ -1202,11 +1184,9 @@ def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) ->
     double every row takes fsum.  A panel on which fewer than r bidders'
     pieces are other than q = 0 has integrand 0.0 at every node and K15
     value 0.0, which adds nothing, so it is skipped; it still counts in the
-    share of tol.  r is an integer >= 1 (not a bool); anything else raises
-    DomainError.
+    share of tol.  r must pass errors.check_rank.
     """
-    if not _is_rank(r):
-        raise DomainError(f"rank r must be an integer >= 1, got {r!r}")
+    check_rank("r", r)
     if not tol > 0.0:
         raise DomainError("tol must be positive")
     if r > profile.n:
@@ -1265,10 +1245,9 @@ def mechanism_revenue_quadrature(profile: cv.BidderProfile, k: int = 1) -> float
     """Exact expected revenue of the k-item uniform-price auction.
 
     Every winner pays the (k+1)-st highest value, so revenue is k times
-    that order statistic's mean.  k is an integer >= 1 (not a bool).
+    that order statistic's mean.  k must pass errors.check_rank.
     """
-    if not _is_rank(k):
-        raise DomainError(f"k must be an integer >= 1, got {k!r}")
+    check_rank("k", k)
     if profile.n < k + 1:
         raise DomainError(f"need at least k+1={k + 1} bidders, got {profile.n}")
     return k * expected_order_stat(profile, k + 1)

@@ -1,9 +1,10 @@
-"""Acceptance suite: one callable per criterion plus a table runner.
+"""Acceptance suite: one table (ALL_CRITERIA) of number, name, budget, check.
 
-Each criterion re-derives its expected numbers from scratch (closed forms,
-exact DP, quadrature) and checks the library against them at stated
-tolerances.  Results are deterministic for a fixed seed; timing is carried
-separately from the summary text so summaries are byte-stable.
+A check re-derives its expected numbers from scratch (closed forms, exact
+DP, quadrature) at a fixed scale (the constants beside it), checks the
+library against them at stated tolerances and returns (passed, detail);
+calling a row times it.  Results are deterministic for a fixed seed, and
+timing is kept out of the summary text, so summaries are byte-stable.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 import math
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +54,8 @@ def _all_dups(profile):
     return extended
 
 
-def criterion_1(seed: int = 0) -> CriterionResult:
+def _lbhr_exact(seed):
     """lb-HR exact values by quadrature."""
-    t0 = time.perf_counter()
     rep = example_lbhr()
     checks = [
         abs(rep.exante_opt - 2.0) <= 1e-9,
@@ -66,51 +67,52 @@ def criterion_1(seed: int = 0) -> CriterionResult:
         f"opt={rep.exante_opt:.12f} both={rep.spa_all_duplicates:.15f} "
         f"dup1={rep.spa_dup_bidder1:.15f} dup2={rep.spa_dup_bidder2:.15f} (ln4={LN4:.15f})"
     )
-    return CriterionResult(1, "lbhr-exact", all(checks), detail, time.perf_counter() - t0)
+    return all(checks), detail
 
 
-def criterion_2(seed: int = 0, n_seeds: int = 100, n_samples: int = 1_000_000) -> CriterionResult:
+_LBHR_SEEDS, _LBHR_SAMPLES = 100, 1_000_000
+
+
+def _lbhr_monte_carlo(seed):
     """Monte Carlo agrees with the lb-HR exact values across seeds."""
-    t0 = time.perf_counter()
     targets = lbhr_duplicates()
     ok = 0
-    for i in range(n_seeds):
+    for i in range(_LBHR_SEEDS):
         hit = True
         for prof, exact in targets:
-            est = estimate_revenue(prof, NO_CONSTRAINT, "spa", n_samples, seed + i)
+            est = estimate_revenue(prof, NO_CONSTRAINT, "spa", _LBHR_SAMPLES, seed + i)
             hit &= abs(est.mean - exact) <= 0.03
         ok += hit
-    detail = f"{ok}/{n_seeds} seeds had all three SPA values within 0.03"
-    return CriterionResult(2, "lbhr-monte-carlo", ok >= 0.95 * n_seeds, detail, time.perf_counter() - t0)
+    detail = f"{ok}/{_LBHR_SEEDS} seeds had all three SPA values within 0.03"
+    return ok >= 0.95 * _LBHR_SEEDS, detail
 
 
-def criterion_3(seed: int = 0, n_pairs: int = 10_000, n_samples: int = 20_000) -> CriterionResult:
+_PAIRS, _PAIR_SAMPLES = 10_000, 20_000
+
+
+def _two_triangle_ratio(seed):
     """Two-triangle ratio floor: grid minimum and random-pair sweep."""
-    t0 = time.perf_counter()
     m, arg = min_ratio_two_triangles(1000)
     grid_ok = abs(m - 0.75) <= 1e-4 and abs(arg["alpha"] - 1.0) <= 0.01
     rng = random.Random(seed)
     worst = math.inf
     failures = 0
-    for i in range(n_pairs):
+    for i in range(_PAIRS):
         pair = cv.make_profile([random_triangle(rng), random_triangle(rng)])
         opt = solve_exante(pair, k=1).opt
-        est = estimate_revenue(_all_dups(pair), NO_CONSTRAINT, "spa", n_samples, seed + i)
+        est = estimate_revenue(_all_dups(pair), NO_CONSTRAINT, "spa", _PAIR_SAMPLES, seed + i)
         margin = est.mean - (0.75 * opt - 4.0 * est.stderr)
         worst = min(worst, margin / opt)
         failures += margin < 0.0
     detail = (
         f"grid min={m:.6f} at alpha={arg['alpha']:.3f}; "
-        f"{failures}/{n_pairs} pairs below 0.75*opt-4se (worst margin {worst:+.4f}*opt)"
+        f"{failures}/{_PAIRS} pairs below 0.75*opt-4se (worst margin {worst:+.4f}*opt)"
     )
-    return CriterionResult(
-        3, "two-triangle-ratio", grid_ok and failures == 0, detail, time.perf_counter() - t0
-    )
+    return grid_ok and failures == 0, detail
 
 
-def criterion_4(seed: int = 0) -> CriterionResult:
+def _constants(seed):
     """Closed-form constants, reproduced as arithmetic."""
-    t0 = time.perf_counter()
     checks = []
     checks.append(abs(analysis.bound_single(0.27, 0.4) - 0.108) <= 1e-12)
     beta = 0.355
@@ -133,13 +135,13 @@ def criterion_4(seed: int = 0) -> CriterionResult:
     w = analysis.warmup_constant()
     checks.append(w > 0.05 and abs(w - (1.0 - 2.0 * math.exp(-0.75))) == 0.0)
     detail = f"bound_single=0.108 c1(0.355)={c1:.4f} warmup={w:.6f}; {sum(checks)}/{len(checks)} ok"
-    return CriterionResult(4, "constants", all(checks), detail, time.perf_counter() - t0)
+    return all(checks), detail
 
 
-# Criterion 5's families, in the order each instance draws them: (name, the
-# item counts it draws k from (None: one item), the mechanism, the
-# duplicate plans for n bidders and k items, the share of opt that the best
-# plan must reach).
+# The existential sweeps' families, in the order each instance draws them:
+# (name, the item counts it draws k from (None: one item), the mechanism,
+# the duplicate plans for n bidders and k items, the share of opt that the
+# best plan must reach).
 _FAMILIES = (
     # single item: some duplicated bidder reaches 0.108*opt under the SPA
     ("single-0.108", None, "spa", lambda n, k: [single_of(i) for i in range(n)], 0.108),
@@ -154,9 +156,10 @@ _FAMILIES = (
     # everyone duplicated once, plain SPA: half of the 1-item opt
     ("hr-0.5", None, "spa", lambda n, k: [all_once()], 0.5),
 )
+_SWEEP_INSTANCES, _SWEEP_SAMPLES = 50, 40_000
 
 
-def criterion_5(seed: int = 0, n_instances: int = 50, n_samples: int = 40_000) -> CriterionResult:
+def _existential_sweeps(seed):
     """Existential sweeps: the promised duplicate always exists at desk scale.
 
     Each instance draws one random profile per family and estimates every
@@ -164,26 +167,21 @@ def criterion_5(seed: int = 0, n_instances: int = 50, n_samples: int = 40_000) -
     is the candidate, and that same Estimate is checked against
     share*opt - 4*stderr, so each plan is sampled once.
     """
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     fails = dict.fromkeys((family[0] for family in _FAMILIES), 0)
-    for i in range(n_instances):
+    for i in range(_SWEEP_INSTANCES):
         s = seed * 1_000_003 + i
         for name, items, mechanism, plans, share in _FAMILIES:
             k = rng.choice(items) if items else 1
             prof = random_profile(rng.randint(max(k, 2), 6), rng)
             opt = solve_exante(prof, k=k).opt
             params = {"k": k} if items else {}
-            best = max((estimate_revenue(*extend_profile(prof, plan), mechanism, n_samples, s,
+            best = max((estimate_revenue(*extend_profile(prof, plan), mechanism, _SWEEP_SAMPLES, s,
                                          **params) for plan in plans(prof.n, k)),
                        key=lambda e: e.mean)
             fails[name] += best.mean < share * opt - 4.0 * best.stderr
-
-    detail = "; ".join(f"{k}: {n_instances - v}/{n_instances}" for k, v in fails.items())
-    return CriterionResult(
-        5, "existential-sweeps", all(v == 0 for v in fails.values()), detail,
-        time.perf_counter() - t0,
-    )
+    detail = "; ".join(f"{k}: {_SWEEP_INSTANCES - v}/{_SWEEP_INSTANCES}" for k, v in fails.items())
+    return all(v == 0 for v in fails.values()), detail
 
 
 def _recertify(profile, case, k, beta, gamma, delta, opt) -> bool:
@@ -219,14 +217,16 @@ def _recertify(profile, case, k, beta, gamma, delta, opt) -> bool:
     return False
 
 
-def criterion_6(seed: int = 0, n_instances: int = 1000) -> CriterionResult:
+_CLASSIFIED = 1000
+
+
+def _lemma_classifiers(seed):
     """Classifiers always land in a case and their witnesses re-certify."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     single_counts = {analysis.CASE1: 0, analysis.CASE2: 0}
     k_counts = {analysis.CASE1: 0, analysis.CASE2: 0, analysis.CASE3: 0}
     bad = 0
-    for _ in range(n_instances):
+    for _ in range(_CLASSIFIED):
         prof = random_profile(rng.randint(1, 12), rng)
         sol = solve_exante(prof, k=1)
         try:
@@ -247,10 +247,8 @@ def criterion_6(seed: int = 0, n_instances: int = 1000) -> CriterionResult:
             continue
         k_counts[case.which] += 1
         bad += not _recertify(prof, case, k, 0.5, 0.2, 0.1, sol.opt)
-    detail = (
-        f"single {dict(single_counts)}, k-item {dict(k_counts)}, {bad} violations/miscertifications"
-    )
-    return CriterionResult(6, "lemma-classifiers", bad == 0, detail, time.perf_counter() - t0)
+    return bad == 0, (f"single {dict(single_counts)}, k-item {dict(k_counts)}, "
+                      f"{bad} violations/miscertifications")
 
 
 def _random_curve_mixed(rng):
@@ -278,15 +276,17 @@ def exante_dual_bound(profile, k, lam) -> float:
     return lam * k + math.fsum(inner)
 
 
-def criterion_7(seed: int = 0, n_tuples: int = 10_000) -> CriterionResult:
+_TUPLES = 10_000
+
+
+def _property_suites(seed):
     """Property suites: curve claims, tail bounds, DP, quadrature, ex ante."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     problems = []
 
     # Claim: for 0 <= q <= q' <= b, Rev(q') >= (1-b) Rev(q)
     bad = 0
-    for _ in range(n_tuples):
+    for _ in range(_TUPLES):
         c = _random_curve_mixed(rng)
         q, q2, b = sorted(rng.random() for _ in range(3))
         bad += cv.rev(c, q2) < (1.0 - b) * cv.rev(c, q) - 1e-9
@@ -295,7 +295,7 @@ def criterion_7(seed: int = 0, n_tuples: int = 10_000) -> CriterionResult:
 
     # Claim: |q - q'| <= eps*q with q <= 1/2 pins Rev(q') within (1 -+ eps)
     bad = 0
-    for _ in range(n_tuples):
+    for _ in range(_TUPLES):
         c = _random_curve_mixed(rng)
         q = rng.uniform(1e-6, 0.5)
         eps = rng.uniform(0.0, 0.99)
@@ -307,7 +307,7 @@ def criterion_7(seed: int = 0, n_tuples: int = 10_000) -> CriterionResult:
 
     # median corollary on random probability vectors, exact DP
     bad = 0
-    for _ in range(n_tuples):
+    for _ in range(_TUPLES):
         n = rng.randint(1, 20)
         bad += not analysis.median_lower_bound_check([rng.random() for _ in range(n)])
     if bad:
@@ -357,13 +357,15 @@ def criterion_7(seed: int = 0, n_tuples: int = 10_000) -> CriterionResult:
         problems.append(f"exante-dual:{bad}")
 
     detail = "all property families hold" if not problems else "failures " + ",".join(problems)
-    return CriterionResult(7, "property-suites", not problems, detail, time.perf_counter() - t0)
+    return not problems, detail
 
 
-def criterion_8(seed: int = 0, n_samples: int = 1_000_000) -> CriterionResult:
+_N3_SAMPLES = 1_000_000
+
+
+def _n3_strict_gap(seed):
     """Example n=3: six-bidder SPA certified strictly below 1.5 by Monte Carlo and quadrature."""
-    t0 = time.perf_counter()
-    opt, est = example_n3(n_samples, seed + 7)
+    opt, est = example_n3(_N3_SAMPLES, seed + 7)
     upper = est.mean + 4.0 * est.stderr
     exact = mechanism_revenue_quadrature(_all_dups(n3_profile()), k=1)
     ok = abs(opt - 2.0) <= 1e-9 and upper < 1.5 and exact < 1.5 and abs(exact - 1.46875) <= 1e-12
@@ -371,64 +373,70 @@ def criterion_8(seed: int = 0, n_samples: int = 1_000_000) -> CriterionResult:
         f"opt={opt:.12f} spa6={est.mean:.5f}+4se={upper:.5f} (< 1.5 required); "
         f"quadrature spa6={exact:.15f} (< 1.5 and within 1e-12 of 1.46875 required)"
     )
-    return CriterionResult(8, "n3-strict-gap", ok, detail, time.perf_counter() - t0)
+    return ok, detail
 
 
-def criterion_9(seed: int = 0, n_instances: int = 100, n_samples: int = 100_000) -> CriterionResult:
+_CHAIN_INSTANCES, _CHAIN_SAMPLES = 100, 100_000
+
+
+def _spald_lookahead_chain(seed):
     """Mechanism chain: SPA+dups >= SPALD (pathwise) >= LA - 4se; My <= 2LA + 4se."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     bad_pathwise = bad_la = bad_myerson = 0
-    for i in range(n_instances):
+    for i in range(_CHAIN_INSTANCES):
         prof = cv.make_profile([random_triangle(rng) for _ in range(rng.randint(2, 5))])
         s = seed + 31 * i
-        la = sample_revenues(prof, NO_CONSTRAINT, "lookahead", n_samples, s)
-        my = sample_revenues(prof, NO_CONSTRAINT, "myerson", n_samples, s)
-        spa_d = sample_revenues(_all_dups(prof), NO_CONSTRAINT, "spa", n_samples, s)
-        spald = sample_revenues(prof, NO_CONSTRAINT, "spald", n_samples, s)
+        la = sample_revenues(prof, NO_CONSTRAINT, "lookahead", _CHAIN_SAMPLES, s)
+        my = sample_revenues(prof, NO_CONSTRAINT, "myerson", _CHAIN_SAMPLES, s)
+        spa_d = sample_revenues(_all_dups(prof), NO_CONSTRAINT, "spa", _CHAIN_SAMPLES, s)
+        spald = sample_revenues(prof, NO_CONSTRAINT, "spald", _CHAIN_SAMPLES, s)
         bad_pathwise += (spa_d - spald).min() < -1e-9
         d = spald - la
-        bad_la += d.mean() < -4.0 * d.std(ddof=1) / math.sqrt(n_samples)
+        bad_la += d.mean() < -4.0 * d.std(ddof=1) / math.sqrt(_CHAIN_SAMPLES)
         g = my - 2.0 * la
-        bad_myerson += g.mean() > 4.0 * g.std(ddof=1) / math.sqrt(n_samples)
-    ok = bad_pathwise == 0 and bad_la == 0 and bad_myerson == 0
+        bad_myerson += g.mean() > 4.0 * g.std(ddof=1) / math.sqrt(_CHAIN_SAMPLES)
     detail = (
         f"pathwise spa>=spald fails {bad_pathwise}, spald>=la-4se fails {bad_la}, "
-        f"myerson<=2la+4se fails {bad_myerson} (of {n_instances})"
+        f"myerson<=2la+4se fails {bad_myerson} (of {_CHAIN_INSTANCES})"
     )
-    return CriterionResult(9, "spald-lookahead-chain", ok, detail, time.perf_counter() - t0)
+    return bad_pathwise == bad_la == bad_myerson == 0, detail
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """A row of ALL_CRITERIA; calling it times check(seed) into a result."""
+
+    number: int
+    name: str
+    budget: float  # wall-time budget in seconds at full scale on seed 0
+    check: Callable
+
+    def __call__(self, seed: int) -> CriterionResult:
+        t0 = time.perf_counter()
+        passed, detail = self.check(seed)
+        return CriterionResult(self.number, self.name, passed, detail, time.perf_counter() - t0)
 
 
 ALL_CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
+    Criterion(1, "lbhr-exact", 1.0, _lbhr_exact),
+    Criterion(2, "lbhr-monte-carlo", 60.0, _lbhr_monte_carlo),
+    Criterion(3, "two-triangle-ratio", 300.0, _two_triangle_ratio),
+    Criterion(4, "constants", 1.0, _constants),
+    Criterion(5, "existential-sweeps", 600.0, _existential_sweeps),
+    Criterion(6, "lemma-classifiers", 60.0, _lemma_classifiers),
+    Criterion(7, "property-suites", 300.0, _property_suites),
+    Criterion(8, "n3-strict-gap", 30.0, _n3_strict_gap),
+    Criterion(9, "spald-lookahead-chain", 300.0, _spald_lookahead_chain),
 )
-
-# Wall-time budget in seconds for each criterion at full scale on seed 0.
-BUDGETS = {1: 1.0, 2: 60.0, 3: 300.0, 4: 1.0, 5: 600.0, 6: 60.0, 7: 300.0, 8: 30.0, 9: 300.0}
+BUDGETS = {c.number: c.budget for c in ALL_CRITERIA}
 
 
 def verify_all(seed: int = 0, only=None):
     """Run the acceptance criteria; returns (exit_code, results, summary)."""
-    results = []
-    for number, fn in enumerate(ALL_CRITERIA, start=1):
-        if only and number not in only:
-            continue
-        results.append(fn(seed))
-    lines = [
-        f"{'PASS' if r.passed else 'FAIL'}  {r.number}. {r.name}: {r.detail}" for r in results
-    ]
+    results = [c(seed) for c in ALL_CRITERIA if not only or c.number in only]
     failed = [r.number for r in results if not r.passed]
-    lines.append(
-        f"{len(results) - len(failed)}/{len(results)} criteria passed"
-        + (f"; failed: {failed}" if failed else "")
-    )
-    summary = "\n".join(lines)
-    return (0 if not failed else 1), results, summary
+    lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.number}. {r.name}: {r.detail}"
+             for r in results]
+    lines.append(f"{len(results) - len(failed)}/{len(results)} criteria passed"
+                 + (f"; failed: {failed}" if failed else ""))
+    return (0 if not failed else 1), results, "\n".join(lines)

@@ -471,7 +471,7 @@ def test_cli_rejects_flags_nothing_reads(capsys, command, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("samples", [cfg.MAX_SAMPLES + 1, 0, -1])
+@pytest.mark.parametrize("samples", [cfg.MAX_SAMPLES + 1, 1, 0, -1])
 @pytest.mark.parametrize("argv", [["simulate", "--config"], ["examples", "n3"]])
 def test_cli_samples_flag_out_of_range_is_parse_error(tmp_path, capsys, monkeypatch, argv,
                                                       samples):
@@ -483,7 +483,7 @@ def test_cli_samples_flag_out_of_range_is_parse_error(tmp_path, capsys, monkeypa
     assert main([*argv, "--samples", str(samples)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError" and err["detail"].startswith("--samples: ")
-    for n in (1, cfg.MAX_SAMPLES):
+    for n in (2, cfg.MAX_SAMPLES):
         assert cfg.parse_config(json.dumps({**BASE, "sampling": {"n_samples": n}}))
 
 

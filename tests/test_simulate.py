@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -735,6 +736,25 @@ def test_split_call_gives_the_serial_bytes(monkeypatch, name):
                               NO_CONSTRAINT, "spa", _SPLIT_DRAWS, 4) == simulate._summarize(
             got, 4, simulate._estimator("", _SPLIT_PROFILE))
         assert simulate.sampling_processes() == 2
+    _no_children()
+
+
+def _counters(offset, part, dest, base):
+    """A fill that samples nothing: offset plus each span's counters."""
+    for lo, hi in part:
+        dest[lo - base : hi - base] = np.arange(lo, hi) + offset
+
+
+def test_split_runs_any_fill_that_pickles(monkeypatch):
+    # a worker gets the caller's own fill, here a partial of a module-level
+    # function that draws nothing, and fills the second half of the spans
+    _cpus(monkeypatch, 2)
+    forks = _fork_counter(monkeypatch)
+    spans = simulate._spans(_SPLIT_DRAWS)
+    out = np.full(_SPLIT_DRAWS, np.nan)
+    assert simulate._split(functools.partial(_counters, 0.5), spans, 2, out) == 2
+    assert out.tobytes() == (np.arange(_SPLIT_DRAWS) + 0.5).tobytes()
+    assert forks == _workers() and len(forks) == 1
     _no_children()
 
 
