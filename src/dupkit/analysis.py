@@ -69,7 +69,8 @@ def poisson_binomial_rows(probs) -> np.ndarray:
     products and sum, for all rows at once.  The array is worked on
     transposed, one contiguous row per bidder.  Step i touches only
     elements 0..i+1, the length of the scalar pmf after it; the elements
-    past them are zeros that no step has to add.
+    past them are zeros that no step has to add.  Step 0 takes [1] to
+    [1*(1-p), 0 + 1*p], which is [1-p, p] exactly, so it is written directly.
     """
     p = np.asarray(probs, dtype=float)
     if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both
@@ -78,9 +79,9 @@ def poisson_binomial_rows(probs) -> np.ndarray:
     p = np.ascontiguousarray(p.T)
     stay = 1.0 - p
     pmf = np.zeros((n + 1, m))
-    pmf[0] = 1.0
+    pmf[:2] = (stay[0], p[0]) if n else 1.0
     up = np.empty((n, m))
-    for i in range(n):
+    for i in range(1, n):
         live, above, add = pmf[: i + 1], pmf[1 : i + 2], up[: i + 1]
         np.multiply(live, p[i], out=add)
         np.multiply(live, stay[i], out=live)

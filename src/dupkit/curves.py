@@ -78,6 +78,8 @@ class CurveTable:
         self.key = np.array([curve.scale, *qs, *rs]).tobytes()
         # the curve's kink_values, filled in by their first call
         self.kinks = None
+        # value_piece's tests as an array, filled in by value_pieces
+        self.piece_tests = None
 
 
 @dataclass(frozen=True)
@@ -261,6 +263,37 @@ def value_piece(curve: RevenueCurve, v: float) -> tuple[float, float, float]:
         if v > slope + c / q1:  # the value at the right end, the segment minimum
             return 0.0, slope, c
     return 1.0, -math.inf, 0.0
+
+
+def _piece_tests(t: CurveTable) -> np.ndarray:
+    """value_piece's tests on a table, in its order, as rows (lo, hi, k,
+    slope, c): v in (lo, hi] reads the piece (k, slope, c)."""
+    if t.piece_tests is None:
+        t.piece_tests = np.array([
+            (-math.inf, t.floor, 1.0, -math.inf, 0.0),
+            (t.ceiling, math.inf, 0.0, -math.inf, 0.0),
+            *((slope + c / q1, math.inf, 0.0, slope, c) for _, q1, slope, c in t.segments)])
+    return t.piece_tests
+
+
+def value_pieces(curves, v: np.ndarray) -> np.ndarray:
+    """value_piece of every curve at every value of the 1-D array v, as a
+    (len(v), len(curves), 3) array of (k, slope, c).
+
+    A piece is the first of value_piece's tests that v passes, made for
+    all values and curves at once with value_piece's own comparisons: v <=
+    floor, v > ceiling, then v > slope + c/q1 for each segment in turn.
+    Where none passes, the first row, the floor's (1, -inf, 0), is read,
+    as value_piece returns.  So every piece is value_piece's.
+    """
+    tests = [_piece_tests(curve.table) for curve in curves]
+    tab = np.empty((len(tests), max(map(len, tests)), 5))
+    tab.fill(math.inf)  # lo = inf passes no v
+    for row, test in zip(tab, tests):
+        row[: len(test)] = test
+    v = np.asarray(v, dtype=float)[:, None, None]
+    first = ((v > tab[:, :, 0]) & (v <= tab[:, :, 1])).argmax(axis=2)
+    return tab[np.arange(len(tests)), first, 2:]
 
 
 def quantile_of_value(curve: RevenueCurve, v: float) -> float:

@@ -62,13 +62,18 @@ at every kink value, so that on each panel every bidder's sale probability
 is one curve piece (cv.value_piece) and the integrand, an exact
 Poisson-binomial tail, is smooth.  Finite panels are integrated in t and
 the last, [t_max, inf), in s on [0, 1) with t = t_max + s/(1-s), which
-compresses the heavy 1/t^2 tails of unbounded curves.  Each panel runs
-adaptive 7-15 point Gauss-Kronrod; a round evaluates the nodes of every
-pending interval in one analysis.poisson_binomial_rows call, and a cap on
-the number of intervals (_MAX_INTERVALS) bounds a call that cannot reach
-its tolerance.  A panel on which fewer than r bidders have a sale
-probability other than 0 has integrand 0.0 and is skipped.  The integrand
-at a node is the math.fsum of its pmf's entries r..; a round sums every
+compresses the heavy 1/t^2 tails of unbounded curves.  A call first builds
+its panel table with numpy in one pass (cv.value_pieces): each panel keeps
+only the bidders whose piece is fractional, since a constant q = 0 leaves
+the pmf as it is and a constant q = 1 shifts it one place exactly, and
+its tail starts at r less its number of q = 1 bidders, or at 0.  A panel
+on which fewer than r bidders have a sale probability other than 0 has
+integrand 0.0 and is skipped.  Each panel runs adaptive 7-15 point Gauss-Kronrod; a round
+evaluates the nodes of every pending interval in one
+analysis.poisson_binomial_rows call over the widest pending panel's
+fractional bidders, and a cap on the number of intervals (_MAX_INTERVALS)
+bounds a call that cannot reach its tolerance.  The integrand at a node
+is the math.fsum of its pmf's entries from its start; a round sums every
 row at once in long double and keeps a row's sum where an error bound
 proves that the exact sum rounds to the same double, and sends the rest
 to math.fsum (_tail_sums), so every result keeps fsum's bits.  Where long
@@ -159,6 +164,7 @@ _GK15 = np.array([
 # all 15 nodes in ascending order, with their Kronrod and Gauss weights
 _GK_NODES, _GK_KRONROD, _GK_GAUSS = np.hstack(
     [_GK15[:, :-1] * [[-1.0], [1.0], [1.0]], _GK15[:, ::-1]])
+_GK_WEIGHTS = np.array([_GK_KRONROD, _GK_GAUSS])
 # Intervals that halving may make in one quadrature call, over all panels;
 # a call that needs more raises NonConvergence.
 _MAX_INTERVALS = 1000
@@ -1143,6 +1149,9 @@ def _tail_sums(pmf: np.ndarray, r: int) -> np.ndarray:
     to one double, S rounds to it too: that is the row's fsum.  The other
     rows, which straddle or touch a rounding boundary (a few percent),
     go to fsum, and where long double is plain double every row does.
+    Zero entries change no fsum and add exactly 0 to the long double sum
+    (they only widen e), so the quadrature zeroes each row's entries below
+    its own start and sums all rows from the smallest (_compact_tails).
     """
     tail = pmf[:, r:]
     terms = tail.shape[1]
@@ -1158,33 +1167,79 @@ def _tail_sums(pmf: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
+def _compact(pieces: np.ndarray, r: int):
+    """The fractional pieces of each row of a (rows, n, 3) value_piece
+    array, and where the tail from r of the row's pmf starts in theirs.
+
+    A piece with slope -inf is a constant.  q = 0 leaves a pmf unchanged;
+    q = 1 shifts it one place, exactly (x*0 = +0, x*1 = x and 0 + x = x
+    for finite x >= 0), and the shift commutes exactly with every other
+    step.  Zero entries do not change an fsum.  So the tail from r of a
+    row's pmf has the bits of the tail from max(r - ones, 0) of its
+    fractional pieces' pmf, ones counting its q = 1 pieces.  Returns the
+    fractional (slope, c) first, in bidder order, padded with the
+    constants' (-inf, 0.0), which read q = +0, and each row's width (its
+    count of fractional pieces) and start.
+    """
+    frac = np.isfinite(pieces[:, :, 1])
+    width = frac.sum(axis=1)
+    order = (~frac).argsort(axis=1, kind="stable")[:, : max(width.tolist())]
+    start = np.maximum(r - pieces[:, :, 0].sum(axis=1), 0.0)
+    kept = pieces[np.arange(len(pieces))[:, None], order]
+    return kept[:, :, 1].T, kept[:, :, 2].T, width, start
+
+
+def _compact_tails(q: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """_tail_sums of each row's Poisson-binomial pmf from its own start.
+
+    Where the starts differ, the entries below a row's start are set to
+    zero, which changes no fsum, and every row is summed from the smallest.
+    """
+    pmf = poisson_binomial_rows(q)
+    lo = int(start.min())
+    if start.max() > lo:
+        pmf[np.arange(pmf.shape[1]) < start[:, None]] = 0.0
+    return _tail_sums(pmf, lo)
+
+
 def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) -> float:
     """E[r-th highest value] = integral over t >= 0 of Pr[at least r values >= t] dt.
 
     [0, inf) is cut into panels at every kink value of every curve.  On a
-    panel each bidder's sale probability is one cv.value_piece, read once
-    at the panel's midpoint: k + c/(t - slope), either c/(t - slope) or a
+    panel each bidder's sale probability is one cv.value_piece, read at the
+    panel's midpoint: k + c/(t - slope), either c/(t - slope) or a
     constant 0 or 1.  So the integrand, an exact Poisson-binomial tail of
     those probabilities, is smooth on each closed panel.  Finite panels are
     integrated in t; the last one, [t_max, inf), in s on [0, 1) with
     t = t_max + s/(1-s).
 
+    The panel table is built in one pass: cv.value_pieces reads every
+    distinct curve's piece on every panel at once, and _compact keeps of
+    each panel only its fractional bidders, in bidder order, with the
+    start max(r - ones, 0) of its tail (ones counts its q = 1 bidders).
+    Dropping the constants keeps every bit, as _compact says, and shrinks
+    the recursion.  A panel whose start exceeds its width, so that fewer
+    than r bidders have a piece other than q = 0, has integrand 0.0 at
+    every node and K15 value 0.0, which adds nothing, so it is skipped; it
+    still counts in the share of tol.
+
     Each panel gets an equal share of tol and runs adaptive 7-15 point
     Gauss-Kronrod: an interval is accepted with the value K15 when
     |K15 - G7| is within its share, and otherwise halved, each half taking
     half the share.  A round evaluates the 15 nodes of every pending
-    interval at once; the accepted values are summed left to right, so the
-    result does not depend on the rounds.  Raises NonConvergence when
-    halving would make more than _MAX_INTERVALS intervals.
+    interval at once, q = c/(t - slope) on the widest pending panel's
+    width (k = 0 on a segment; padding reads q = +0), in one
+    analysis.poisson_binomial_rows call; the accepted values are summed
+    left to right, so the result does not depend on the rounds.  Raises
+    NonConvergence when halving would make more than _MAX_INTERVALS
+    intervals.
 
-    A node's integrand is the fsum of its pmf row's entries r.., taken
-    through _tail_sums: a long double sum kept only where a rigorous error
-    bound shows the exact sum rounds to the same double, else math.fsum, so
-    no bit depends on which path a row took.  Where long double is plain
-    double every row takes fsum.  A panel on which fewer than r bidders'
-    pieces are other than q = 0 has integrand 0.0 at every node and K15
-    value 0.0, which adds nothing, so it is skipped; it still counts in the
-    share of tol.  r must pass errors.check_rank.
+    A node's integrand is the fsum of its pmf row's entries from its start,
+    taken through _tail_sums: a long double sum kept only where a rigorous
+    error bound shows the exact sum rounds to the same double, else
+    math.fsum, so no bit depends on which path a row took.  Where long
+    double is plain double every row takes fsum.  r must pass
+    errors.check_rank.
     """
     check_rank("r", r)
     if not tol > 0.0:
@@ -1194,41 +1249,48 @@ def expected_order_stat(profile: cv.BidderProfile, r: int, tol: float = 1e-8) ->
     if r == 1 and cv.has_unbounded(profile):
         raise UnboundedExpectation("the maximum of an unbounded-support profile has no mean")
 
-    # one probability column per distinct curve; bidder j reads column cols[j]
     curves = {c.table.key: c for c in profile.curves}
-    slot = {key: j for j, key in enumerate(curves)}
-    cols = [slot[c.table.key] for c in profile.curves]
     cuts = sorted({0.0, *(v for curve in curves.values() for v in cv.kink_values(curve))})
     t_max = cuts[-1]
     ends = [*zip(cuts, cuts[1:]), (0.0, 1.0)]  # the last panel in s
     mids = [0.5 * (a + b) for a, b in ends[:-1]] + [t_max + 1.0]
-
-    pieces = [[cv.value_piece(curve, m) for curve in curves.values()] for m in mids]
-    k, slope, c = np.array(pieces).transpose(2, 0, 1)  # each (panel, curve)
+    # each bidder's piece on each panel, read once per distinct curve
+    slot = {key: j for j, key in enumerate(curves)}
+    cols = [slot[curve.table.key] for curve in profile.curves]
+    pieces = cv.value_pieces(curves.values(), np.array(mids)).take(cols, 1)
+    slope, c, width, start = _compact(pieces, r)
     last = len(ends) - 1
     # pending intervals: panel, ends and tolerance share, without the panels
     # on which fewer than r bidders have a piece other than q = 0
-    p = np.flatnonzero(((k != 0.0) | (slope != -math.inf))[:, cols].sum(axis=1) >= r)
-    a, b = np.array(ends)[p].T
+    p = (start <= width).nonzero()[0]
+    a, b = np.array(ends).take(p, 0).T
     share = np.full(p.size, tol / len(ends))
     accepted = []
     made = 0
     while p.size:
         half = 0.5 * (b - a)
         mid = a + half
-        x = mid[:, None] + half[:, None] * _GK_NODES
-        t, jac = x.copy(), np.ones_like(x)
-        tail = p == last
-        s = x[tail]
-        t[tail] = t_max + s / (1.0 - s)
-        jac[tail] = 1.0 / ((1.0 - s) * (1.0 - s))
-        q = k[p, None] + c[p, None] / (t[:, :, None] - slope[p, None])
-        pmf = poisson_binomial_rows(q[:, :, cols].reshape(-1, profile.n))
-        f = _tail_sums(pmf, r).reshape(t.shape) * jac
-        kronrod = half * (f * _GK_KRONROD).sum(axis=1)
-        gauss = half * (f * _GK_GAUSS).sum(axis=1)
+        t = mid[:, None] + half[:, None] * _GK_NODES
+        tail = (p == last).nonzero()[0]
+        if tail.size:
+            s = t[tail]
+            u = 1.0 - s
+            t[tail] = t_max + s / u
+        # q is (bidder, interval, node), so that its (w, rows) reshape is
+        # the recursion's own layout and poisson_binomial_rows copies nothing
+        w = max(width.take(p).tolist())
+        q = c[:w].take(p, 1)[:, :, None] / (t - slope[:w].take(p, 1)[:, :, None])
+        f = _compact_tails(q.reshape(w, t.size).T, start.take(p).repeat(t.shape[1]))
+        f = f.reshape(t.shape)
+        if tail.size:  # dt/ds on the last panel
+            f[tail] *= 1.0 / (u * u)
+        kronrod, gauss = half * np.add.reduce(f[:, None] * _GK_WEIGHTS, axis=2).T
         done = np.abs(kronrod - gauss) <= share
-        accepted += zip(p[done].tolist(), a[done].tolist(), kronrod[done].tolist())
+        finished = done.all()
+        kept = slice(None) if finished else done
+        accepted += zip(p[kept].tolist(), a[kept].tolist(), kronrod[kept].tolist())
+        if finished:
+            break
         split = ~done
         made += 2 * int(split.sum())
         if made > _MAX_INTERVALS:

@@ -78,6 +78,13 @@ def test_poisson_binomial_rows_refuse_bad_probabilities():
     assert analysis.poisson_binomial_rows(np.empty((0, 3))).shape == (0, 4)
 
 
+def test_poisson_binomial_rows_of_no_bidders():
+    # the quadrature passes (rows, 0) arrays where no bidder's piece is fractional
+    got = analysis.poisson_binomial_rows(np.empty((5, 0)))
+    assert got.shape == (5, 1) and (got == 1.0).all()
+    assert analysis.poisson_binomial([]).pmf == (1.0,)
+
+
 def test_median_lower_bound():
     assert analysis.median_lower_bound_check([0.3] * 10)  # Binom(10, 0.3), floor 3
     assert analysis.median_lower_bound_check([0.9])

@@ -3,6 +3,7 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -289,3 +290,24 @@ def test_scalar_queries_golden_digest(name):
     results = _query_results(_QUERY_CURVES[name])
     digest = hashlib.sha256(struct.pack(f"<{len(results)}d", *results)).hexdigest()
     assert digest == _QUERY_GOLDEN[name]
+
+
+def test_value_pieces_are_value_piece():
+    # at each breakpoint test (floor, ceiling, each segment's right-end
+    # value) and one ulp either side, where the first passing test changes
+    rng = random.Random(3)
+    curves = [*_QUERY_CURVES.values(), cv.make_point_mass(0.0),
+              *(random_concave_curve(rng) for _ in range(6)),
+              *(random_triangle(rng) for _ in range(3))]
+    edges = {0.0, *_QUERY_VS}
+    for c in curves:
+        t = c.table
+        edges.update([t.floor, t.ceiling, *(slope + k / q1 for _, q1, slope, k in t.segments)])
+    edges = {v for v in edges if math.isfinite(v)}
+    vs = sorted(v for e in edges
+                for v in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf)))
+    got = cv.value_pieces(curves, np.array(vs))
+    assert got.shape == (len(vs), len(curves), 3)
+    for i, v in enumerate(vs):
+        for j, c in enumerate(curves):
+            assert got[i, j].tobytes() == np.array(cv.value_piece(c, v)).tobytes(), (v, j)

@@ -1185,14 +1185,64 @@ def test_quadrature_nonconvergence_is_bounded(monkeypatch):
 
 def test_quadrature_skips_panels_where_fewer_than_r_can_buy(monkeypatch):
     # above the point mass at 1 only the triangle can buy, so with r = 2 the
-    # panels [1, 8] and [8, inf) are never evaluated
+    # panels [1, 8] and [8, inf) are never evaluated.  Below 1 the point
+    # mass buys with q = 1 and is no column of the recursion, so each row is
+    # the triangle's q alone; q falls as t rises, so a row at or above q(1)
+    # has its abscissa t <= 1, and panel [1, 8]'s nodes (t >= 1.03) fall
+    # below it.  A pending [8, inf) would pad a row with q = 0.
     probs = []
     rows = simulate.poisson_binomial_rows
     monkeypatch.setattr(simulate, "poisson_binomial_rows",
                         lambda p: probs.append(p.copy()) or rows(p))
-    prof = cv.make_profile([cv.make_point_mass(1.0), cv.make_triangle(0.25, 2.0)])
+    triangle = cv.make_triangle(0.25, 2.0)
+    prof = cv.make_profile([cv.make_point_mass(1.0), triangle])
     assert expected_order_stat(prof, 2) > 0.0
-    assert np.concatenate(probs)[:, 0].min() == 1.0
+    q = np.concatenate(probs)
+    assert q.shape == (15, 1)  # one interval, on [0, 1]
+    assert q.min() >= cv.quantile_of_value(triangle, 1.0)
+
+
+@pytest.mark.parametrize("r, want", [(1, 0.9), (2, 0.7), (3, 0.3)])
+def test_quadrature_on_point_masses_only(r, want):
+    # every piece is a constant q = 0 or 1, so every panel has no fractional
+    # bidder: each round runs the recursion on (rows, 0) probabilities
+    prof = cv.make_profile([cv.make_point_mass(v) for v in (0.3, 0.7, 0.9)])
+    assert expected_order_stat(prof, r) == want
+
+
+def _pieces(probs):
+    """value_piece triples whose probability at t = 1 is each of probs: the
+    constants for 0 and 1, and (0, 0.0, q), which reads q/(1 - 0) = q."""
+    frac = (probs > 0.0) & (probs < 1.0)
+    return np.stack([np.where(probs == 1.0, 1.0, 0.0), np.where(frac, 0.0, -math.inf),
+                     np.where(frac, probs, 0.0)], axis=2)
+
+
+_panel_prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_panel_prob, min_size=n, max_size=n), min_size=1, max_size=6),
+    st.integers(1, n + 1))))
+# no fractional bidder, and the first row's ones alone reach r
+@example(([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], 2))
+@example(([[1.0, 1.0, 0.3, 0.6], [0.2, 0.0, 1.0, 0.9], [0.0, 0.0, 0.0, 0.5]], 2))
+@example(([[0.0] * 5], 1))
+def test_compacted_recursion_matches_full_rows(rows_r):
+    # the tail from r of a row's full pmf, bit for bit, from its fractional
+    # bidders alone and the start max(r - ones, 0), with the starts of the
+    # rows differing
+    rows, r = rows_r
+    probs = np.array(rows)
+    for bits in (simulate._SUM_BITS, 53):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_SUM_BITS", bits)
+            slope, c, width, start = simulate._compact(_pieces(probs), r)
+            got = simulate._compact_tails((c / (1.0 - slope)).T, start)
+            want = simulate._tail_sums(simulate.poisson_binomial_rows(probs), r)
+        assert got.tobytes() == want.tobytes()
+        assert ((start <= width) == ((probs > 0.0).sum(axis=1) >= r)).all()
 
 
 def test_quadrature_golden_digest_with_every_row_through_fsum(monkeypatch):
@@ -1202,9 +1252,9 @@ def test_quadrature_golden_digest_with_every_row_through_fsum(monkeypatch):
 
 
 # The share of the digest's node rows whose long double tail sum cannot be
-# certified and goes to math.fsum: 2.3% (256 of 11,370 rows) with x87's
+# certified and goes to math.fsum: 2.4% (268 of 11,370 rows) with x87's
 # 64-bit long double.  A probe that reported fewer bits would widen every
-# row's error bound (62 bits send 5.6% of the rows, 60 bits 20%), and one
+# row's error bound (62 bits send 5.5% of the rows, 60 bits 19%), and one
 # that found none would send all of them.  One that reported more bits than
 # the sums have fails the adversarial rows below.
 _FSUM_SHARE_BOUND = 0.05
