@@ -1,17 +1,29 @@
 """Command line front end.
 
+Each report command is a handler (args, config) -> (payload, exit code)
+that opens no file and writes nothing.  One runner, _run_report, reads
+the config of a command that takes one (--seed and --samples replace its
+sampling fields), refuses a report path that cannot be written before
+any solve or draw, calls the handler and writes the payload.  The report
+goes to --out, else (simulate only) to the config's output.path, else to
+stdout, as --format, else the config's output.format, else JSON.  verify
+prints its own text report.
+
 Exit codes separate "the math said no" from "the invocation was wrong":
 0 success / all checks passed, 1 a checked bound or certified claim failed,
 2 config or usage error.  Every numeric result is reproducible from the
 invocation alone (config text + seed), so reports embed the config hash.
 JSON output never holds NaN or infinity: a result that is not finite exits
-2 with a NonFiniteResult error naming its field.
+2 with a NonFiniteResult error naming its field.  CSV output is key,value
+rows, and csv.writer quotes a field holding a comma, a quote or a newline.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -35,6 +47,8 @@ from .verify import BUDGETS, verify_all
 # Largest --grid-steps, kept as input validation: min_ratio_two_triangles
 # builds one row of N steps, so memory does not bound it.
 MAX_GRID_STEPS = 4_000
+# The constants `bounds` takes as flags, in report order.
+_BOUND_CONSTANTS = ("alpha", "beta", "gamma", "delta", "eps")
 
 
 def _jsonable(obj):
@@ -45,15 +59,43 @@ def _jsonable(obj):
     return obj
 
 
+def leaves(obj, path: str = ""):
+    """(dotted path, value) of every leaf of a JSON-ready payload, in order.
+
+    Key k of an object at path p is p.k (k alone at the top), and item i
+    of a list is p[i]; dicts and lists are walked, anything else is a leaf.
+    """
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from leaves(val, f"{path}.{key}" if path else str(key))
+    elif isinstance(obj, list):
+        for i, val in enumerate(obj):
+            yield from leaves(val, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def report_to_csv(report: dict) -> str:
+    """Flat key,value rows: nested objects such as "timings" and "env" give
+    dotted keys, and checks expand to one row per bound.  A value reads
+    f"{val}" (None as None, infinity as inf), and a field holding a comma,
+    a quote or a newline is quoted."""
+    text = io.StringIO()
+    rows = csv.writer(text, lineterminator="\n")
+    rows.writerow(("key", "value"))
+    rows.writerows((key, f"{val}") for key, val in leaves(report))
+    return text.getvalue()
+
+
 def _emit(payload: dict, out_path, out_format: str) -> None:
     payload = _jsonable(payload)
     if out_format == "csv":
-        text = cfg.report_to_csv(payload)
+        text = report_to_csv(payload)
     else:
         try:
             text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
         except ValueError:
-            field = next((path for path, val in cfg.leaves(payload)
+            field = next((path for path, val in leaves(payload)
                           if isinstance(val, float) and not math.isfinite(val)), None)
             raise NonFiniteResult(f"report field {field!r} is not a finite number") from None
     if out_path:
@@ -76,26 +118,39 @@ def _unwritable(path: str) -> str | None:
 
 
 def _report_path(args, config: cfg.ExperimentConfig | None):
-    """Where the report goes: --out, else the output.path of config (given
-    by the commands that write there), else stdout (None).  A path that
-    cannot be written is refused before any solve or draw, naming its flag
-    or field."""
+    """The report path (module docstring), None for stdout; a path that
+    cannot be written is refused, naming its flag or field."""
     path, name = args.out, "--out"
-    if not path and config is not None:
+    if not path and args.command == "simulate":
         path, name = config.output_path, "config field 'output.path'"
     if path and (why := _unwritable(path)):
         raise ParseError(f"{name}: cannot write the report to {path!r}: {why}")
     return path
 
 
-def _load_config(path: str) -> cfg.ExperimentConfig:
-    with open(path) as fh:
-        return cfg.parse_config(fh.read())
-
-
 def _samples_flag(args):
-    """--samples, refused outside [1, cfg.MAX_SAMPLES] before anything is solved or drawn."""
-    return None if args.samples is None else cfg.check_samples(args.samples, "--samples")
+    """--samples where the command takes it, refused outside
+    [cfg.MIN_SAMPLES, cfg.MAX_SAMPLES] before anything is solved or drawn."""
+    samples = getattr(args, "samples", None)
+    return None if samples is None else cfg.check_samples(samples, "--samples")
+
+
+def _load_config(args) -> cfg.ExperimentConfig:
+    """The config at --config, with --seed and --samples in place of its
+    sampling fields where the command takes them and they are given."""
+    with open(args.config) as fh:
+        config = cfg.parse_config(fh.read())
+    flags = {"seed": getattr(args, "seed", None), "n_samples": _samples_flag(args)}
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
+
+
+def _run_report(args, handler) -> int:
+    """Load, refuse, run and write one report command (module docstring)."""
+    config = _load_config(args) if hasattr(args, "config") else None
+    out = _report_path(args, config)
+    payload, code = handler(args, config)
+    _emit(payload, out, args.format or (config.output_format if config else "json"))
+    return code
 
 
 def _grid_steps_flag(args) -> int:
@@ -112,102 +167,60 @@ def _need(constants: dict, key: str) -> float:
     return float(constants[key])
 
 
-def _cmd_exante(args) -> int:
-    config = _load_config(args.config)
-    out = _report_path(args, None)
+def _cmd_exante(args, config):
     sol = solve_exante(config.profile, k=config.constants["k"])
-    _emit(
-        {
-            "k": sol.k,
-            "opt": sol.opt,
-            "dual": sol.dual,
-            "quantiles": list(sol.quantiles),
-            "names": list(config.profile.names or ()),
-        },
-        out,
-        args.format or config.output_format,
-    )
-    return 0
+    return {
+        "k": sol.k,
+        "opt": sol.opt,
+        "dual": sol.dual,
+        "quantiles": list(sol.quantiles),
+        "names": list(config.profile.names or ()),
+    }, 0
 
 
-def _cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if _samples_flag(args) is not None:
-        config = dataclasses.replace(config, n_samples=args.samples)
-    out = _report_path(args, config)
-    report, code = cfg.run_experiment(config)
-    _emit(report, out, args.format or config.output_format)
-    return code
+def _cmd_simulate(args, config):
+    return cfg.run_experiment(config)
 
 
-def _cmd_select(args) -> int:
-    config = _load_config(args.config)
-    out = _report_path(args, None)
+def _cmd_select(args, config):
     constants = config.constants
-    seed = args.seed if args.seed is not None else config.seed
     payload: dict = {"rule": args.rule}
     with cfg.constants_refused(f"rule {args.rule!r}"):
         if args.rule == "beta":
             payload["selected"] = select_by_beta(config.profile, _need(constants, "beta"))
-        elif args.rule == "noisy":
-            reports = noisy_beta_reports(
-                config.profile, _need(constants, "beta"), _need(constants, "eps"), seed
-            )
-            payload["reports"] = reports
-            payload["selected"] = select_by_noisy_beta(reports)
         elif args.rule == "sample":
-            rng = random.Random(seed)
+            rng = random.Random(config.seed)
             samples = [cv.sample_value(c, rng.random()) for c in config.profile.curves]
             payload["samples"] = samples
             payload["selected"] = select_by_sample(samples)
-        else:  # kset
+        else:  # noisy, kset
             reports = noisy_beta_reports(
-                config.profile, _need(constants, "beta"), _need(constants, "eps"), seed
+                config.profile, _need(constants, "beta"), _need(constants, "eps"), config.seed
             )
             payload["reports"] = reports
-            payload["selected"] = sorted(select_k_set_noisy(reports, constants["k"]))
-    _emit(payload, out, args.format or config.output_format)
-    return 0
+            payload["selected"] = (select_by_noisy_beta(reports) if args.rule == "noisy"
+                                   else sorted(select_k_set_noisy(reports, constants["k"])))
+    return payload, 0
 
 
-def _cmd_bounds(args) -> int:
-    out = _report_path(args, None)
-    constants = {
-        name: val
-        for name, val in (
-            ("alpha", args.alpha),
-            ("beta", args.beta),
-            ("gamma", args.gamma),
-            ("delta", args.delta),
-            ("eps", args.eps),
-        )
-        if val is not None
-    }
+def _cmd_bounds(args, config):
+    constants = {name: getattr(args, name) for name in _BOUND_CONSTANTS
+                 if getattr(args, name) is not None}
     try:
         value = cfg.BOUND_FUNCS[args.which](constants)
     except KeyError as exc:
         raise DomainError(f"bound {args.which!r} needs constant {exc}")
-    _emit(
-        {"which": args.which, "constants": constants, "value": value},
-        out,
-        args.format,
-    )
-    return 0
+    return {"which": args.which, "constants": constants, "value": value}, 0
 
 
-def _cmd_examples(args) -> int:
-    out = _report_path(args, None)
+def _cmd_examples(args, config):
     if args.which == "lbhr":
         rep = example_lbhr()
         payload = dataclasses.asdict(rep)
         payload["single_duplicate_gap"] = rep.exante_opt / rep.spa_dup_bidder2
     elif args.which == "n3":
-        opt, est = example_n3(
-            1_000_000 if _samples_flag(args) is None else args.samples,
-            7 if args.seed is None else args.seed,
-        )
+        opt, est = example_n3(_samples_flag(args) or 1_000_000,
+                              7 if args.seed is None else args.seed)
         upper = est.mean + 4.0 * est.stderr
         payload = {
             "exante_opt": opt,
@@ -219,13 +232,10 @@ def _cmd_examples(args) -> int:
     else:  # two-triangles
         ratio, arg = min_ratio_two_triangles(_grid_steps_flag(args))
         payload = {"min_ratio": ratio, "argmin": arg}
-    _emit(payload, out, args.format)
-    return 0
+    return payload, 0
 
 
-def _cmd_classify(args) -> int:
-    config = _load_config(args.config)
-    out = _report_path(args, None)
+def _cmd_classify(args, config):
     constants = config.constants
     k = constants["k"]
     sol = solve_exante(config.profile, k=k)
@@ -245,12 +255,7 @@ def _cmd_classify(args) -> int:
                 config.profile, _need(constants, "alpha"), _need(constants, "beta"), sol
             )
             which = "single_item"
-    _emit(
-        {"classifier": which, "case": case.which, "opt": sol.opt, "witness": case.witness},
-        out,
-        args.format or config.output_format,
-    )
-    return 0
+    return {"classifier": which, "case": case.which, "opt": sol.opt, "witness": case.witness}, 0
 
 
 def _cmd_verify(args) -> int:
@@ -300,10 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--which", required=True, choices=tuple(sorted(cfg.BOUND_FUNCS))
     )
-    for name in ("alpha", "beta", "gamma", "delta", "eps"):
+    for name in _BOUND_CONSTANTS:
         p.add_argument(f"--{name}", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    common(p)
 
     p = sub.add_parser("examples", help="reproduce a worked example")
     which = p.add_subparsers(dest="which", required=True)
@@ -323,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the report commands' handlers; verify prints its own report
 _HANDLERS = {
     "exante": _cmd_exante,
     "simulate": _cmd_simulate,
@@ -330,7 +335,6 @@ _HANDLERS = {
     "bounds": _cmd_bounds,
     "examples": _cmd_examples,
     "classify": _cmd_classify,
-    "verify": _cmd_verify,
 }
 
 
@@ -346,7 +350,9 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r".* encountered in ", RuntimeWarning)
         try:
-            return _HANDLERS[args.command](args)
+            if args.command == "verify":
+                return _cmd_verify(args)
+            return _run_report(args, _HANDLERS[args.command])
         except DupkitError as exc:
             _report_error(exc)
             return exc.exit_code

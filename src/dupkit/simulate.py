@@ -954,12 +954,12 @@ def _spans(n_samples: int) -> list:
     return list(zip(starts, [*starts[1:], n_samples]))
 
 
-def _fill(runs, mechanism: str, seed: int, params, rows, part, dest, base):
+def _fill(runs, mechanism: str, seed: int, params, rows, drawn, picks, part, dest, base):
     """Per-draw revenue of runs[0], less that of runs[1] when given, over the
     chunk spans part, into dest[lo - base : hi - base] for each span [lo,
-    hi); rows is the row store or None.  A call binds its first five
-    arguments (functools.partial) into the fill that it and _split run."""
-    drawn, picks = _rows_read(runs, mechanism)
+    hi); rows is the row store or None, and drawn and picks are the runs'
+    _rows_read.  A call binds its first seven arguments (functools.partial)
+    into the fill that it and _split run."""
     kernel = _MECHANISMS[mechanism]
     unread = (None, None)
     # one scratch block and one block of value rows per thread, rewritten
@@ -993,12 +993,12 @@ def _revenues(runs, mechanism: str, n_samples: int, seed: int, params) -> np.nda
             raise DomainError(fault[1])
     check_rank("n_samples", n_samples)
     runs = [(profile, NO_CONSTRAINT if con is None else con) for profile, con in runs]
-    drawn, _ = _rows_read(runs, mechanism)
+    drawn, picks = _rows_read(runs, mechanism)
     spans = _spans(n_samples)
     rows = _row_store()
     if not rows.admit(seed, len(drawn) * n_samples * 8):
         rows = None
-    fill = functools.partial(_fill, runs, mechanism, seed, params, rows)
+    fill = functools.partial(_fill, runs, mechanism, seed, params, rows, drawn, picks)
     out = np.empty(n_samples)
     draw_bytes = sum(8 * n_samples for _, _, c in drawn.values() if _draws(c))
     processes = 1 if rows is not None else _processes(draw_bytes, len(spans))
@@ -1025,7 +1025,7 @@ def sample_revenues(
     workers: int = 0,
     **params,
 ) -> np.ndarray:
-    """Per-sample revenue array; the estimators above are views over this.
+    """Per-sample revenue array; the estimators below summarise it.
 
     A large call may be split across processes (see the module docstring);
     the bits do not depend on the split.  ``workers`` is ignored; only the

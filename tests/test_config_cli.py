@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -152,7 +153,7 @@ def test_config_plan_extends_as_its_constructor(tmp_path, mode, build, out_of_ra
 def test_report_csv_is_flat():
     conf = cfg.parse_config(json.dumps(BASE))
     report, _ = cfg.run_experiment(conf)
-    text = cfg.report_to_csv(report)
+    text = cli.report_to_csv(report)
     lines = text.strip().split("\n")
     assert lines[0] == "key,value"
     assert any(line.startswith("estimate.mean,") for line in lines)
@@ -161,6 +162,17 @@ def test_report_csv_is_flat():
         assert any(line.startswith(key + ",") for line in lines)
     # 2,000 draws are one chunk, which no process shares
     assert "timings.processes,1" in lines
+
+
+def test_report_csv_quotes_fields_that_hold_a_delimiter(tmp_path, capsys):
+    raw = {**BASE, "profile": {**BASE["profile"], "names": ["a,b", 'c\nd"']}}
+    assert main(["exante", "--config", write_config(tmp_path, raw), "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert all(len(row) == 2 for row in rows)
+    assert rows[-2:] == [["names[0]", "a,b"], ["names[1]", 'c\nd"']]
+    # every other value reads as it did before it could be quoted
+    assert cli.report_to_csv({"none": None, "inf": math.inf, "ok": True}) == (
+        "key,value\nnone,None\ninf,inf\nok,True\n")
 
 
 def test_report_timings_match_estimate():
@@ -332,7 +344,7 @@ _EXIT_1 = {LemmaViolation, NonConvergence, UnboundedExpectation, DominanceViolat
 
 @pytest.mark.parametrize("error", list(_error_classes()), ids=lambda c: c.__name__)
 def test_cli_exit_code_follows_error_class(monkeypatch, capsys, error):
-    def handler(args):
+    def handler(args, config):
         raise error("raised by the handler")
 
     monkeypatch.setitem(cli._HANDLERS, "examples", handler)
